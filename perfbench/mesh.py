@@ -43,7 +43,8 @@ def knee(r: float, c1: float = C1, c2: float = C2) -> float:
 
 def generate(seed: int, k: int) -> dict:
     """Scenario document (links, sources, solver) of mesh k of a seed."""
-    rng = np.random.default_rng([seed, k])
+    # a negative seed maps to its 64-bit two's complement: numpy takes no negatives
+    rng = np.random.default_rng([seed % 2**64, k])
     n_sources, n_links = N_SOURCES, N_LINKS
     load = np.zeros(n_links, dtype=np.int64)
     routes = []
