@@ -20,9 +20,7 @@ from .network import (
 )
 from .utility import (
     SCurveUtility,
-    LogisticUtility,
     eval_scurve,
-    eval_logistic,
     inflection_point,
     transform,
     inverse_transform,
@@ -42,6 +40,7 @@ from .engine import (
     update_rates,
     path_prices,
     solve,
+    polish,
     kkt_residual,
     steady_state_check,
     NonPositiveExpansionPointError,

@@ -3,13 +3,17 @@
 Link agents own prices, source agents own rates, and all cross-agent
 state moves through explicit messages in synchronous two-phase rounds:
 links update and announce prices, then sources update and report rates.
-Per-round arithmetic reuses the engine's scalar helpers in the same
-ascending-id order, so the produced trace is bit-identical to
-``engine.solve`` on the same inputs.
+Each agent runs the engine's array kernels on its own slice: a link
+applies the tangent-load kernel to its sources' reports and sums the
+terms left to right in ascending source-id order, and a source applies
+the rate kernel to its length-1 slice of the per-source constants. The
+kernels give the same bits on a slice as on the full arrays, so the
+trace is bit-identical to ``engine.solve`` on the same inputs.
 
-The global stopping rule (max rate change plus steady-state feasibility)
-needs a view no single agent has; an omniscient monitor outside the
-message protocol evaluates it between rounds.
+The rounds are the step of the engine's driver loop
+(:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
+plus steady-state feasibility) needs a view no single agent has; the
+driver evaluates it between rounds, outside the message protocol.
 """
 
 from __future__ import annotations
@@ -20,18 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    AllocationResult,
+    Curves,
+    IterateState,
+    Model,
     SolverConfig,
-    TraceRecord,
-    _initial_mu,
-    _initial_rates,
-    g_hat_term,
-    g_true_term,
+    g_hat_terms,
+    iterate,
     price_step,
-    rate_step,
+    rates,
+    total,
 )
 from .network import Network
-from .utility import SCurveUtility, transformed_bounds
 
 __all__ = [
     "Message",
@@ -75,8 +78,9 @@ class Message:
 class LinkAgent:
     """Holds one link's price and the rate reports of its sources.
 
-    ``terms`` caches each routed source's (r, c2) so the tangent load
-    is computable locally from reports alone.
+    ``terms`` caches each routed source's encoding rate r and load
+    exponent p = 1/c2, so the tangent load is computable locally from
+    reports alone.
     """
 
     link_id: int
@@ -88,41 +92,45 @@ class LinkAgent:
     def tangent_load(self) -> float:
         """Tangent (linearized) load from the stored reports, accumulated
         in ascending source-id order."""
-        total = 0.0
-        for sid in sorted(self.terms):
+        sids = sorted(self.terms)
+        for sid in sids:
             if sid not in self.reports:
                 raise MissingReportError(
                     f"link {self.link_id} has no report from source {sid}"
                 )
-            r, c2 = self.terms[sid]
-            xt, xt_prev = self.reports[sid]
-            total += g_hat_term(r, c2, xt, xt_prev)
-        return total
+        rows = [self.terms[sid] + self.reports[sid] for sid in sids]
+        r, p, xt, xt_prev = np.array(rows, dtype=float).reshape(len(rows), 4).T.copy()
+        return total(g_hat_terms(r, p, xt, xt_prev))
 
 
 @dataclass
 class SourceAgent:
     """Holds one source's rate state and the prices of its route links.
 
-    ``prices`` are the prices the next rate update will use; freshly
-    delivered ones wait in ``pending`` until the configured delivery
-    moment (before the update for fresh pricing, after it for lagged).
+    ``curve`` is the source's length-1 slice of the per-source kernel
+    constants. ``prices`` are the prices the next rate update will use;
+    freshly delivered ones wait in ``pending`` until the configured
+    delivery moment (before the update for fresh pricing, after it for
+    lagged). ``rho`` is the path price the last update saw.
     """
 
     source_id: int
-    utility: SCurveUtility
+    curve: Curves
     route: tuple[int, ...]
     x_tilde: float
     x_tilde_prev: float
     x: float
     prices: dict[int, float]
+    rho: float
     pending: dict[int, float] = field(default_factory=dict)
 
     def path_price(self) -> float:
-        total = 0.0
-        for lid in self.route:
-            total += self.prices[lid]
-        return total
+        return total(np.array([self.prices[lid] for lid in self.route]))
+
+    def update_rate(self, rho_floor: float) -> None:
+        self.rho = self.path_price()
+        xt, x = rates(self.curve, np.array([self.x_tilde]), np.array([self.rho]), rho_floor)
+        self.x_tilde_prev, self.x_tilde, self.x = self.x_tilde, float(xt[0]), float(x[0])
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
@@ -131,35 +139,28 @@ def build_agents(net: Network, utilities, config: SolverConfig):
 
     Returns (links, sources, round-0 seeding messages).
     """
-    if len(utilities) != net.n_sources:
-        raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
-    x0 = _initial_rates(utilities, config)
-    mu0 = _initial_mu(net, config)
+    model = Model(net, utilities)
+    c = model.curves
+    state = model.initial_state(config)
 
-    sources: list[SourceAgent] = []
-    for j, sid in enumerate(net.source_ids):
-        u = utilities[j]
-        lo, hi = transformed_bounds(u)
-        xt = min(max((float(x0[j]) / u.r) ** u.c2, lo), hi)
-        prices = {lid: float(mu0[net.link_index[lid]]) for lid in net.routes[j]}
-        sources.append(SourceAgent(
-            source_id=sid, utility=u, route=net.routes[j],
-            x_tilde=xt, x_tilde_prev=xt, x=float(x0[j]), prices=prices,
-        ))
-
-    links: list[LinkAgent] = []
-    seed: list[Message] = []
-    for i, lid in enumerate(net.link_ids):
-        terms = {}
-        for sid in net.sources_on_link[i]:
-            u = utilities[net.source_index[sid]]
-            terms[sid] = (u.r, u.c2)
-        links.append(LinkAgent(link_id=lid, capacity=net.capacities[i],
-                               mu=float(mu0[i]), terms=terms))
-    for src in sources:
-        for lid in src.route:
-            seed.append(Message(0, RATE_REPORT, src.source_id, lid,
-                                src.x_tilde, src.x_tilde_prev))
+    sources = [
+        SourceAgent(
+            source_id=sid, curve=c.at(j), route=net.routes[j],
+            x_tilde=float(state.x_tilde[j]), x_tilde_prev=float(state.x_tilde_prev[j]),
+            x=float(state.x[j]), rho=float(state.rho[j]),
+            prices={lid: float(state.mu[net.link_index[lid]]) for lid in net.routes[j]},
+        )
+        for j, sid in enumerate(net.source_ids)
+    ]
+    links = [
+        LinkAgent(link_id=lid, capacity=net.capacities[i], mu=float(state.mu[i]),
+                  terms={sid: (float(c.r[net.source_index[sid]]),
+                               float(c.p[net.source_index[sid]]))
+                         for sid in net.sources_on_link[i]})
+        for i, lid in enumerate(net.link_ids)
+    ]
+    seed = [Message(0, RATE_REPORT, src.source_id, lid, src.x_tilde, src.x_tilde_prev)
+            for src in sources for lid in src.route]
     _deliver_reports(links, seed)
     return links, sources, seed
 
@@ -184,8 +185,7 @@ def run_round(links: list[LinkAgent], sources: list[SourceAgent], t: int,
 
     # phase A: every link updates its price from the stored reports
     for ln in sorted(links, key=lambda a: a.link_id):
-        ghat = ln.tangent_load()
-        ln.mu = price_step(ln.mu, config.gamma, ln.capacity, ghat)
+        ln.mu = float(price_step(ln.mu, config.gamma, ln.capacity, ln.tangent_load()))
         for sid in sorted(ln.terms):
             messages.append(Message(t, PRICE_UPDATE, ln.link_id, sid, ln.mu))
 
@@ -200,14 +200,10 @@ def run_round(links: list[LinkAgent], sources: list[SourceAgent], t: int,
         if config.price_lag == "fresh":
             src.prices.update(src.pending)
             src.pending.clear()
-        rho = src.path_price()
-        _, xt_new, x_new = rate_step(src.utility, src.x_tilde, rho, config.rho_floor)
+        src.update_rate(config.rho_floor)
         if config.price_lag == "lagged":
             src.prices.update(src.pending)
             src.pending.clear()
-        src.x_tilde_prev = src.x_tilde
-        src.x_tilde = xt_new
-        src.x = x_new
         for lid in src.route:
             reports.append(Message(t, RATE_REPORT, src.source_id, lid,
                                    src.x_tilde, src.x_tilde_prev))
@@ -219,90 +215,29 @@ def run_round(links: list[LinkAgent], sources: list[SourceAgent], t: int,
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):
-    """Round loop with an omniscient convergence monitor.
+    """The engine's driver loop with one message round as its step.
 
     Returns (AllocationResult, message log). The result, including the
     per-round trace, matches ``engine.solve`` exactly.
     """
     if config is None:
         config = SolverConfig()
+    # build_agents lists both kinds of agent in ascending id order
     links, sources, log = build_agents(net, utilities, config)
-    links_by_id = {ln.link_id: ln for ln in links}
-    sources_asc = sorted(sources, key=lambda a: a.source_id)
 
-    def snapshot():
-        x = np.array([src.x for src in sources_asc])
-        xt = np.array([src.x_tilde for src in sources_asc])
-        xp = np.array([src.x_tilde_prev for src in sources_asc])
-        mu = np.array([links_by_id[lid].mu for lid in net.link_ids])
-        return x, xt, xp, mu
-
-    def route_sums(mu_arr):
-        # same accumulation as the engine's path-price evaluation
-        rho = np.empty(net.n_sources)
-        for j in range(net.n_sources):
-            total = 0.0
-            for lid in net.routes[j]:
-                total += float(mu_arr[net.link_index[lid]])
-            rho[j] = total
-        return rho
-
-    def link_loads(xt_a, xt_b):
-        # same accumulation as the engine's per-link evaluations
-        g = np.empty(net.n_links)
-        gh = np.empty(net.n_links)
-        for i, lid in enumerate(net.link_ids):
-            tot_g = 0.0
-            tot_gh = 0.0
-            for sid in net.sources_on_link[i]:
-                j = net.source_index[sid]
-                u = utilities[j]
-                tot_g += g_true_term(u.r, u.c2, float(xt_a[j]))
-                tot_gh += g_hat_term(u.r, u.c2, float(xt_a[j]), float(xt_b[j]))
-            g[i] = tot_g
-            gh[i] = tot_gh
-        return g, gh
-
-    x, xt, xp, mu = snapshot()
-    rho = route_sums(mu)
-    g0, gh0 = link_loads(xt, xp)
-    trace = [TraceRecord(0, x, xt, mu, rho, float("nan"), g0, gh0)]
-
-    converged = False
-    t = 0
-    for t in range(1, config.max_iter + 1):
-        x_old = trace[-1].x
-        mu_old = trace[-1].mu
+    def step(state: IterateState) -> IterateState:
+        t = state.t + 1
         log.extend(run_round(links, sources, t, config))
-        x, xt, xp, mu = snapshot()
-        # the prices the round's rate updates actually saw
-        rho = route_sums(mu if config.price_lag == "fresh" else mu_old)
-        metric = 0.0
-        for j in range(net.n_sources):
-            metric = max(metric, abs(float(x[j]) - float(x_old[j])))
-        g_t, gh_t = link_loads(xt, xp)
-        trace.append(TraceRecord(t, x, xt, mu, rho, metric, g_t, gh_t))
-        if metric < config.epsilon:
-            steady = True
-            for i in range(net.n_links):
-                if (abs(gh_t[i] - g_t[i]) > config.feas_tol
-                        or g_t[i] > net.capacities[i] + config.feas_tol):
-                    steady = False
-                    break
-            if steady:
-                converged = True
-                break
+        return IterateState(
+            t,
+            x_tilde=np.array([src.x_tilde for src in sources]),
+            x_tilde_prev=np.array([src.x_tilde_prev for src in sources]),
+            mu=np.array([ln.mu for ln in links]),
+            rho=np.array([src.rho for src in sources]),
+            x=np.array([src.x for src in sources]),
+        )
 
-    result = AllocationResult(
-        converged=converged,
-        iterations=t,
-        x=x,
-        x_tilde=xt,
-        x_tilde_prev=xp,
-        mu=mu,
-        rho=rho,
-        trace=tuple(trace),
-    )
+    result = iterate(Model(net, utilities), config, step)
     return result, tuple(log)
 
 

@@ -7,7 +7,8 @@
 ``<scenario>`` is a built-in name or a path to a scenario JSON file.
 ``run`` writes trace.csv and result.txt (plus messages.csv in agent
 modes and equivalence.txt in both mode) and exits 0 only when the
-solver converged and the final loads are feasible. ``validate``
+solver converged and the final rates are feasible (inside their windows,
+per-link sums within capacity). ``validate``
 cross-checks the engine against the grid-search oracle and a sampled
 local-optimality test, writing validation.txt.
 """
@@ -24,13 +25,13 @@ import numpy as np
 from .agents import audit_locality, export_messages, run_to_convergence
 from .engine import (
     AllocationResult,
-    IterateState,
     SolverConfig,
     kkt_residual,
+    polish,
     solve,
-    steady_state_check,
+    steady,
 )
-from .network import Network
+from .network import Network, is_feasible
 from .oracle import (
     BudgetExceededError,
     GridSpec,
@@ -77,27 +78,16 @@ def write_trace(path: Path, net: Network, trace) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _final_loads(net: Network, utilities, res: AllocationResult):
-    from .engine import g_hat, g_true
-
-    g = np.array([g_true(net, utilities, res.x_tilde, lid) for lid in net.link_ids])
-    gh = np.array([g_hat(net, utilities, res.x_tilde, res.x_tilde_prev, lid)
-                   for lid in net.link_ids])
-    return g, gh
-
-
-def _is_feasible(net: Network, g: np.ndarray, tol: float) -> bool:
-    return bool(np.all(g <= np.asarray(net.capacities) + tol))
+def _feasible(net: Network, utilities, res: AllocationResult, tol: float) -> bool:
+    return is_feasible(net, res.x, [(u.m, u.big_m) for u in utilities], tol).ok
 
 
 def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
                  config: SolverConfig, res: AllocationResult, runtime: float) -> None:
-    g, gh = _final_loads(net, utilities, res)
-    feasible = _is_feasible(net, g, config.feas_tol)
-    state = IterateState(t=res.iterations, x_tilde=res.x_tilde,
-                         x_tilde_prev=res.x_tilde_prev, mu=res.mu, rho=res.rho,
-                         A=np.full(net.n_sources, np.nan), x=res.x)
-    steady = steady_state_check(net, utilities, state, config.feas_tol)
+    # the last trace row holds the loads at (x_tilde, x_tilde_prev)
+    g, gh = res.trace[-1].g, res.trace[-1].g_hat
+    feasible = _feasible(net, utilities, res, config.feas_tol)
+    steady_ok = steady(g, gh, np.array(net.capacities), config.feas_tol)
     kkt = kkt_residual(net, utilities, res.x_tilde, res.x_tilde_prev, res.mu)
     util = total_utility(utilities, res.x)
 
@@ -127,8 +117,9 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
             f"g_hat = {gh[i]:.6f}  capacity = {net.capacities[i]:g}  "
             f"slack = {net.capacities[i] - g[i]:.6f}")
     lines.append("")
-    lines.append(f"feasible (g_true <= c + {config.feas_tol:g}): {str(feasible).lower()}")
-    lines.append(f"steady_state_check (tol {config.feas_tol:g}): {str(steady).lower()}")
+    lines.append(f"feasible (m <= x <= M and per-link sum of x <= c, within "
+                 f"{config.feas_tol:g} Kbps): {str(feasible).lower()}")
+    lines.append(f"steady_state_check (tol {config.feas_tol:g}): {str(steady_ok).lower()}")
     lines.append("")
     lines.append("KKT residuals:")
     for j, sid in enumerate(net.source_ids):
@@ -208,8 +199,7 @@ def cmd_run(args) -> int:
         dev = write_equivalence(out / "equivalence.txt", net, res, res_agents, messages)
         print(f"equivalence: max relative trace deviation {dev:.3e}")
 
-    g, _ = _final_loads(net, utilities, res)
-    feasible = _is_feasible(net, g, config.feas_tol)
+    feasible = _feasible(net, utilities, res, config.feas_tol)
     status = "converged" if res.converged else "NOT converged"
     print(f"{args.scenario} [{args.mode}]: {status} after {res.iterations} iterations, "
           f"feasible={feasible}, outputs in {out}")
@@ -218,8 +208,8 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 1
     if not feasible:
-        print(f"error: final load exceeds capacity by more than {config.feas_tol} Kbps",
-              file=sys.stderr)
+        print(f"error: final rates violate a rate window or a link capacity by more "
+              f"than {config.feas_tol} Kbps", file=sys.stderr)
         return 1
     return 0
 
@@ -253,11 +243,7 @@ def cmd_validate(args) -> int:
 
     # only a machine-precision fixed point can survive the sampled
     # improvement test, so re-run to a tight tolerance first
-    polish_cfg = SolverConfig(gamma=config.gamma, epsilon=1e-10, max_iter=500000,
-                              mu0=tuple(res.mu), x0_policy="explicit",
-                              x0=tuple(res.x), price_lag=config.price_lag,
-                              feas_tol=config.feas_tol)
-    polished = solve(net, utilities, polish_cfg)
+    polished = polish(net, utilities, res, config)
     seed = perturbation_seed()
     report = local_opt_test(net, utilities, polished.x, radius=2.0,
                             samples=1000, seed=seed)

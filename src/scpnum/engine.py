@@ -10,21 +10,33 @@ set from the inside, and (b) solves the resulting concave problem by one
 projected-gradient step on the link prices followed by the closed-form
 per-source rate maximizer.
 
-Per-source and per-link arithmetic runs in a fixed ascending-id order
-with plain scalar operations; the message-passing simulation in
-:mod:`scpnum.agents` reuses the same scalar helpers, so the two produce
-bitwise-identical traces.
+All per-source and per-link arithmetic is one set of numpy array
+kernels over a :class:`Model`: a CSR incidence list sorted by link, then
+by ascending source id, plus per-source constants computed once per
+solve. Loads and path prices are summed with ``np.bincount(weights=...)``,
+which adds strictly left to right; ``np.sum`` reorders the additions of
+slices of 8 or more elements and is never used for them. With every
+operand a 1-d array (numpy takes other paths for 0-d operands and some
+scalar exponents), the kernels give identical bits on a length-1 slice
+and on the full array.
+
+:func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
+schedulers over one driver loop, :func:`iterate`, which owns the initial
+state, the stopping test, the trace and the result. The engine steps all
+sources at once, the agents step each link and source on its own slice,
+and the two traces are bitwise-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .network import Network
-from .utility import SCurveUtility, transformed_bounds
+from .utility import SCurveUtility
 
 __all__ = [
     "SolverConfig",
@@ -38,6 +50,7 @@ __all__ = [
     "update_rates",
     "path_prices",
     "solve",
+    "polish",
     "kkt_residual",
     "steady_state_check",
     "g_true_term",
@@ -52,9 +65,15 @@ class NonPositiveExpansionPointError(ValueError):
     """Tangent expansion point must be strictly positive."""
 
 
+def _finite(name: str, values) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration parameters.
+    """Iteration parameters; every number must be finite.
 
     gamma
         Price step size, > 0.
@@ -63,7 +82,7 @@ class SolverConfig:
     max_iter
         Iteration cap.
     mu0
-        Initial link price, scalar or per-link sequence, > 0.
+        Initial link price, scalar or per-link sequence, >= 0.
     x0_policy
         'midpoint' starts every source at (m + M)/2; 'explicit' takes
         rates from ``x0``.
@@ -77,7 +96,8 @@ class SolverConfig:
     rho_floor
         Path prices below this saturate the rate at its upper bound.
     feas_tol
-        Feasibility slack in Kbps used for reporting.
+        Feasibility slack in Kbps, >= 0, used by the steady-state test
+        and for reporting.
     """
 
     gamma: float = 1e-4
@@ -91,6 +111,8 @@ class SolverConfig:
     feas_tol: float = 0.5
 
     def __post_init__(self):
+        for name in ("gamma", "epsilon", "rho_floor", "feas_tol"):
+            _finite(name, (getattr(self, name),))
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.epsilon <= 0.0:
@@ -99,8 +121,11 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.rho_floor <= 0.0:
             raise ValueError(f"rho_floor must be > 0, got {self.rho_floor}")
+        if self.feas_tol < 0.0:
+            raise ValueError(f"feas_tol must be >= 0, got {self.feas_tol}")
         mu0 = self.mu0 if isinstance(self.mu0, (int, float)) else tuple(float(v) for v in self.mu0)
         object.__setattr__(self, "mu0", mu0)
+        _finite("mu0", np.atleast_1d(mu0))
         # zero is allowed: warm restarts carry mu=0 on inactive links
         if np.any(np.asarray(mu0) < 0.0):
             raise ValueError("mu0 must be >= 0")
@@ -110,6 +135,7 @@ class SolverConfig:
             raise ValueError("x0_policy 'explicit' requires x0")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+            _finite("x0", self.x0)
         if self.price_lag not in ("fresh", "lagged"):
             raise ValueError(f"unknown price_lag {self.price_lag!r}")
 
@@ -117,14 +143,14 @@ class SolverConfig:
 @dataclass
 class IterateState:
     """One iterate of the price/rate loop. Arrays align with the
-    network's ascending source and link id orders."""
+    network's ascending source and link id orders; rho holds the path
+    prices the rate step that produced x actually saw."""
 
     t: int
     x_tilde: np.ndarray
     x_tilde_prev: np.ndarray
     mu: np.ndarray
     rho: np.ndarray
-    A: np.ndarray
     x: np.ndarray
 
 
@@ -155,57 +181,267 @@ class AllocationResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks, shared with scpnum.agents
+# array kernels, shared with scpnum.agents
+
+class Curves(NamedTuple):
+    """Per-source constants of the kernels, one array per field, aligned
+    with ascending source id: the curve parameters, the load exponent
+    p = 1/c2, the transformed window [lo, hi] and
+    log_k = log(c1*c2 / (r*(1 - exp(-c1))))."""
+
+    r: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    p: np.ndarray
+    m: np.ndarray
+    big_m: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    log_k: np.ndarray
+
+    @classmethod
+    def of(cls, utilities) -> "Curves":
+        r, c1, c2, m, big_m = (np.array([getattr(u, f) for u in utilities], dtype=float)
+                               for f in ("r", "c1", "c2", "m", "big_m"))
+        log_k = np.log(c1 * c2 / (r * -np.expm1(-c1)))
+        return cls(r, c1, c2, 1.0 / c2, m, big_m, transformed(r, c2, m),
+                   transformed(r, c2, big_m), log_k)
+
+    def at(self, j: int) -> "Curves":
+        """Source j's constants as length-1 slices."""
+        return Curves._make(a[j:j + 1] for a in self)
+
+
+def transformed(r, c2, x):
+    """y = (x/r)**c2 elementwise."""
+    return np.power(x / r, c2)
+
+
+def sums(index, weights, n: int) -> np.ndarray:
+    """Per-group sums of weights, each added strictly left to right."""
+    return np.bincount(index, weights=weights, minlength=n)
+
+
+def total(weights) -> float:
+    """Left-to-right sum of one group."""
+    return float(sums(np.zeros(len(weights), dtype=np.intp), weights, 1)[0])
+
+
+def g_terms(r, p, xt):
+    """Per-source Kbps contributions to the true link load."""
+    return r * np.power(xt, p)
+
+
+def _slope(p, xt_prev):
+    return p * np.power(xt_prev, p - 1.0)
+
+
+def g_hat_terms(r, p, xt, xt_prev):
+    """Per-source contributions to the tangent (linearized) link load,
+    expanded at xt_prev.
+
+    Raises
+    ------
+    NonPositiveExpansionPointError
+        If any expansion component is <= 0.
+    """
+    if np.any(xt_prev <= 0.0):
+        raise NonPositiveExpansionPointError(
+            f"expansion points must be > 0, got {np.min(xt_prev)}")
+    return r * (np.power(xt_prev, p) + _slope(p, xt_prev) * (xt - xt_prev))
+
+
+def price_step(mu, gamma: float, capacity, ghat):
+    """Projected gradient step on link prices."""
+    return np.maximum(0.0, mu - gamma * (capacity - ghat))
+
+
+def rates(c: Curves, xt_cur, rho, rho_floor: float):
+    """Closed-form transformed-rate maximizer per source.
+
+    Solves the per-source stationarity condition given the path prices
+    ``rho`` and the expansion points ``xt_cur``, clamps into the
+    transformed window, and maps back to Kbps. Returns (x_tilde, x).
+    """
+    sat = rho < rho_floor  # vanishing path price: rate saturates
+    a = c.log_k + (1.0 - c.p) * np.log(xt_cur)
+    raw = np.where(sat, c.hi, (a - np.log(np.where(sat, 1.0, rho))) / c.c1)
+    xt_new = np.minimum(np.maximum(raw, c.lo), c.hi)
+    # round-trip through the power map can land a hair outside [m, M]
+    x_new = np.minimum(np.maximum(g_terms(c.r, c.p, xt_new), c.m), c.big_m)
+    return xt_new, x_new
+
+
+def steady(g, ghat, capacities, tol: float) -> bool:
+    """Tangent and true loads agree within tol on every link and no true
+    load exceeds capacity by more than tol."""
+    return bool(np.all((np.abs(ghat - g) <= tol) & (g <= capacities + tol)))
+
+
+class Incidence:
+    """A network's routing as kernel inputs.
+
+    ``link``/``src`` is the CSR incidence list: one entry per (link,
+    source) pair, sorted by link index and then by ascending source id.
+    ``route_link``/``route_src`` holds the same pairs in route order (by
+    source, then ascending link id) for the path-price sums.
+    """
+
+    def __init__(self, net: Network):
+        self.n_links = net.n_links
+        self.n_sources = net.n_sources
+        self.capacities = np.array(net.capacities, dtype=float)
+        self.link = np.repeat(np.arange(net.n_links, dtype=np.intp),
+                              [len(on) for on in net.sources_on_link])
+        self.src = np.array([net.source_index[sid] for on in net.sources_on_link for sid in on],
+                            dtype=np.intp)
+        order = np.argsort(self.src, kind="stable")
+        self.route_src = self.src[order]
+        self.route_link = self.link[order]
+
+    def link_sums(self, per_source) -> np.ndarray:
+        return sums(self.link, per_source[self.src], self.n_links)
+
+    def path_prices(self, mu) -> np.ndarray:
+        mu = np.asarray(mu, dtype=float)
+        return sums(self.route_src, mu[self.route_link], self.n_sources)
+
+
+class Model(Incidence):
+    """An Incidence plus its sources' Curves, built once per solve."""
+
+    def __init__(self, net: Network, utilities):
+        if len(utilities) != net.n_sources:
+            raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
+        super().__init__(net)
+        self.curves = Curves.of(utilities)
+
+    def g_true(self, x_tilde) -> np.ndarray:
+        c = self.curves
+        return self.link_sums(g_terms(c.r, c.p, np.asarray(x_tilde, dtype=float)))
+
+    def g_hat(self, x_tilde, x_tilde_prev) -> np.ndarray:
+        c = self.curves
+        return self.link_sums(g_hat_terms(c.r, c.p, np.asarray(x_tilde, dtype=float),
+                                          np.asarray(x_tilde_prev, dtype=float)))
+
+    def initial_state(self, config: SolverConfig) -> IterateState:
+        c = self.curves
+        if config.x0_policy == "explicit":
+            x0 = np.array(config.x0, dtype=float)
+            if x0.shape != (self.n_sources,):
+                raise ValueError(f"x0 must have {self.n_sources} entries, got {x0.shape}")
+            outside = np.flatnonzero(~((c.m <= x0) & (x0 <= c.big_m)))
+            if outside.size:
+                j = outside[0]
+                raise ValueError(f"x0[{j}]={x0[j]} outside [{c.m[j]}, {c.big_m[j]}]")
+        else:
+            x0 = (c.m + c.big_m) / 2.0
+        if isinstance(config.mu0, tuple):
+            mu0 = np.array(config.mu0, dtype=float)
+            if mu0.shape != (self.n_links,):
+                raise ValueError(f"mu0 must have {self.n_links} entries, got {mu0.shape}")
+        else:
+            mu0 = np.full(self.n_links, float(config.mu0))
+        xt = np.minimum(np.maximum(transformed(c.r, c.c2, x0), c.lo), c.hi)
+        return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0)
+
+
+# ---------------------------------------------------------------------------
+# the driver and the engine's scheduler
+
+def iterate(model: Model, config: SolverConfig, step) -> AllocationResult:
+    """The price/rate loop shared by both schedulers.
+
+    ``step(state)`` returns the next IterateState. The loop stops when
+    the largest per-source rate change in Kbps drops below
+    config.epsilon AND the new state is steady at feas_tol, or at
+    max_iter (converged stays False). The rate metric alone can read
+    zero while prices still slide along a degenerate dual direction with
+    a link left overloaded; the steady-state condition keeps iterating
+    through that. The trace has one record per iteration plus the t=0
+    row.
+    """
+    state = model.initial_state(config)
+    trace = [TraceRecord(0, state.x, state.x_tilde, state.mu, state.rho, float("nan"),
+                         model.g_true(state.x_tilde), model.g_hat(state.x_tilde, state.x_tilde))]
+    converged = False
+    for t in range(1, config.max_iter + 1):
+        new = step(state)
+        metric = float(np.max(np.abs(new.x - state.x), initial=0.0))
+        g = model.g_true(new.x_tilde)
+        gh = model.g_hat(new.x_tilde, new.x_tilde_prev)
+        trace.append(TraceRecord(t, new.x, new.x_tilde, new.mu, new.rho, metric, g, gh))
+        state = new
+        if metric < config.epsilon and steady(g, gh, model.capacities, config.feas_tol):
+            converged = True
+            break
+    return AllocationResult(
+        converged=converged,
+        iterations=state.t,
+        x=state.x,
+        x_tilde=state.x_tilde,
+        x_tilde_prev=state.x_tilde_prev,
+        mu=state.mu,
+        rho=state.rho,
+        trace=tuple(trace),
+    )
+
+
+def solve(net: Network, utilities, config: SolverConfig | None = None) -> AllocationResult:
+    """Run the price/rate loop to convergence, every source at once
+    (see :func:`iterate` for the stopping rule and the trace)."""
+    if config is None:
+        config = SolverConfig()
+    model = Model(net, utilities)
+    fresh = config.price_lag == "fresh"
+
+    def step(s: IterateState) -> IterateState:
+        mu = price_step(s.mu, config.gamma, model.capacities,
+                        model.g_hat(s.x_tilde, s.x_tilde_prev))
+        rho = model.path_prices(mu if fresh else s.mu)
+        xt, x = rates(model.curves, s.x_tilde, rho, config.rho_floor)
+        return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x)
+
+    return iterate(model, config, step)
+
+
+def polish(net: Network, utilities, res: AllocationResult,
+           config: SolverConfig) -> AllocationResult:
+    """Re-solve from a finished run's rates and prices down to a
+    machine-precision fixed point (epsilon 1e-10, up to 500000
+    iterations), which is what the sampled local-optimality test needs.
+    Step size, price lag and tolerances come from ``config``."""
+    return solve(net, utilities, replace(
+        config, epsilon=1e-10, max_iter=500000, mu0=tuple(res.mu),
+        x0_policy="explicit", x0=tuple(res.x)))
+
+
+# ---------------------------------------------------------------------------
+# per-item views over the kernels
 
 def g_true_term(r: float, c2: float, xt: float) -> float:
     """One source's Kbps contribution to a link load, from its transformed rate."""
-    return r * xt ** (1.0 / c2)
+    return float(g_terms(np.array([r]), np.array([1.0 / c2]), np.array([xt]))[0])
 
 
 def g_hat_term(r: float, c2: float, xt: float, xt_prev: float) -> float:
     """One source's contribution to the tangent (linearized) link load."""
-    p = 1.0 / c2
-    return r * (xt_prev ** p + p * xt_prev ** (p - 1.0) * (xt - xt_prev))
+    return float(g_hat_terms(np.array([r]), np.array([1.0 / c2]), np.array([xt]),
+                             np.array([xt_prev]))[0])
 
 
-def price_step(mu: float, gamma: float, capacity: float, ghat: float) -> float:
-    """Projected gradient step on one link price."""
-    return max(0.0, mu - gamma * (capacity - ghat))
+def rate_step(u: SCurveUtility, xt_cur: float, rho: float, rho_floor: float) -> tuple[float, float]:
+    """The rate kernel for one source. Returns (new transformed rate,
+    new rate in Kbps)."""
+    xt, x = rates(Curves.of((u,)), np.array([xt_cur], dtype=float),
+                  np.array([rho], dtype=float), rho_floor)
+    return float(xt[0]), float(x[0])
 
-
-def rate_step(u: SCurveUtility, xt_cur: float, rho: float, rho_floor: float) -> tuple[float, float, float]:
-    """Closed-form transformed-rate maximizer for one source.
-
-    Solves the per-source stationarity condition given the path price
-    ``rho`` and the expansion point ``xt_cur``, clamps into the
-    transformed window, and maps back to Kbps.
-
-    Returns (A, new transformed rate, new rate in Kbps).
-    """
-    lo, hi = transformed_bounds(u)
-    a = math.log(u.c1 * u.c2 / (u.r * -math.expm1(-u.c1))) + (1.0 - 1.0 / u.c2) * math.log(xt_cur)
-    if rho < rho_floor:
-        raw = hi  # vanishing path price: rate saturates
-    else:
-        raw = (a - math.log(rho)) / u.c1
-    xt_new = min(max(raw, lo), hi)
-    # round-trip through the power map can land a hair outside [m, M]
-    x_new = min(max(u.r * xt_new ** (1.0 / u.c2), u.m), u.big_m)
-    return a, xt_new, x_new
-
-
-# ---------------------------------------------------------------------------
-# link-level evaluations
 
 def g_true(net: Network, utilities, x_tilde, link_id: int) -> float:
     """True link load in Kbps as a function of transformed rates."""
-    i = net.link_index[link_id]
-    total = 0.0
-    for sid in net.sources_on_link[i]:
-        j = net.source_index[sid]
-        u = utilities[j]
-        total += g_true_term(u.r, u.c2, float(x_tilde[j]))
-    return total
+    return float(Model(net, utilities).g_true(x_tilde)[net.link_index[link_id]])
 
 
 def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float:
@@ -218,155 +454,34 @@ def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float
     Raises
     ------
     NonPositiveExpansionPointError
-        If any expansion component for this link is <= 0.
+        If any expansion component is <= 0.
     """
-    i = net.link_index[link_id]
-    total = 0.0
-    for sid in net.sources_on_link[i]:
-        j = net.source_index[sid]
-        xp = float(x_tilde_prev[j])
-        if xp <= 0.0:
-            raise NonPositiveExpansionPointError(
-                f"expansion point for source {sid} is {xp}, must be > 0"
-            )
-        u = utilities[j]
-        total += g_hat_term(u.r, u.c2, float(x_tilde[j]), xp)
-    return total
+    return float(Model(net, utilities).g_hat(x_tilde, x_tilde_prev)[net.link_index[link_id]])
 
 
 def update_prices(net: Network, utilities, state: IterateState, gamma: float) -> np.ndarray:
-    """One projected-gradient step on every link price.
-
-    The gradient uses the tangent load at (x̃ current, x̃ previous), the
-    same pair Algorithm's price step prescribes.
-    """
-    mu_new = np.empty(net.n_links)
-    for i, lid in enumerate(net.link_ids):
-        ghat = g_hat(net, utilities, state.x_tilde, state.x_tilde_prev, lid)
-        mu_new[i] = price_step(float(state.mu[i]), gamma, net.capacities[i], ghat)
-    return mu_new
+    """One projected-gradient step on every link price, against the
+    tangent load at (x̃ current, x̃ previous)."""
+    model = Model(net, utilities)
+    return price_step(np.asarray(state.mu, dtype=float), gamma, model.capacities,
+                      model.g_hat(state.x_tilde, state.x_tilde_prev))
 
 
 def path_prices(net: Network, mu) -> np.ndarray:
     """Per-source sum of link prices along the route, ascending link id."""
-    rho = np.empty(net.n_sources)
-    for j in range(net.n_sources):
-        total = 0.0
-        for lid in net.routes[j]:
-            total += float(mu[net.link_index[lid]])
-        rho[j] = total
-    return rho
+    return Incidence(net).path_prices(mu)
 
 
 def update_rates(net: Network, utilities, state: IterateState, rho_floor: float = 1e-12):
     """Closed-form rate update for every source against state.mu.
 
-    Returns (A, x_tilde, x, rho) arrays. x_tilde is clamped into each
+    Returns (x_tilde, x, rho) arrays. x_tilde is clamped into each
     source's transformed window, so x is always within [m, M].
     """
-    rho = path_prices(net, state.mu)
-    A = np.empty(net.n_sources)
-    xt = np.empty(net.n_sources)
-    x = np.empty(net.n_sources)
-    for j in range(net.n_sources):
-        A[j], xt[j], x[j] = rate_step(utilities[j], float(state.x_tilde[j]), float(rho[j]), rho_floor)
-    return A, xt, x, rho
-
-
-def _initial_rates(utilities, config: SolverConfig) -> np.ndarray:
-    if config.x0_policy == "explicit":
-        x0 = np.asarray(config.x0, dtype=float)
-        if x0.shape != (len(utilities),):
-            raise ValueError(f"x0 must have {len(utilities)} entries, got {x0.shape}")
-        for j, u in enumerate(utilities):
-            if not u.m <= x0[j] <= u.big_m:
-                raise ValueError(f"x0[{j}]={x0[j]} outside [{u.m}, {u.big_m}]")
-        return x0
-    return np.array([(u.m + u.big_m) / 2.0 for u in utilities])
-
-
-def _initial_mu(net: Network, config: SolverConfig) -> np.ndarray:
-    if isinstance(config.mu0, tuple):
-        mu0 = np.asarray(config.mu0, dtype=float)
-        if mu0.shape != (net.n_links,):
-            raise ValueError(f"mu0 must have {net.n_links} entries, got {mu0.shape}")
-        return mu0.copy()
-    return np.full(net.n_links, float(config.mu0))
-
-
-def solve(net: Network, utilities, config: SolverConfig | None = None) -> AllocationResult:
-    """Run the price/rate loop to convergence.
-
-    Stops when the largest per-source rate change in Kbps drops below
-    config.epsilon AND the state passes steady_state_check at feas_tol,
-    or at max_iter (converged stays False). The rate metric alone can
-    read zero while prices still slide along a degenerate dual
-    direction with a link left overloaded; the steady-state condition
-    keeps iterating through that. The trace has one record per
-    iteration plus the t=0 row.
-    """
-    if config is None:
-        config = SolverConfig()
-    if len(utilities) != net.n_sources:
-        raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
-
-    x = _initial_rates(utilities, config)
-    xt = np.empty(net.n_sources)
-    for j, u in enumerate(utilities):
-        lo, hi = transformed_bounds(u)
-        xt[j] = min(max((float(x[j]) / u.r) ** u.c2, lo), hi)
-    xt_prev = xt.copy()
-    mu = _initial_mu(net, config)
-    rho = path_prices(net, mu)
-
-    def link_evals(xt_a, xt_b):
-        g = np.array([g_true(net, utilities, xt_a, lid) for lid in net.link_ids])
-        gh = np.array([g_hat(net, utilities, xt_a, xt_b, lid) for lid in net.link_ids])
-        return g, gh
-
-    g0, gh0 = link_evals(xt, xt_prev)
-    trace = [TraceRecord(0, x.copy(), xt.copy(), mu.copy(), rho.copy(), float("nan"), g0, gh0)]
-
-    converged = False
-    t = 0
-    for t in range(1, config.max_iter + 1):
-        state = IterateState(t - 1, xt, xt_prev, mu, rho, np.zeros(net.n_sources), x)
-        mu_new = update_prices(net, utilities, state, config.gamma)
-        rate_mu = mu_new if config.price_lag == "fresh" else mu
-        A, xt_new, x_new, rho_used = update_rates(
-            net, utilities,
-            IterateState(t - 1, xt, xt_prev, rate_mu, rho, np.zeros(net.n_sources), x),
-            config.rho_floor,
-        )
-        metric = 0.0
-        for j in range(net.n_sources):
-            metric = max(metric, abs(float(x_new[j]) - float(x[j])))
-
-        g_t, gh_t = link_evals(xt_new, xt)
-        trace.append(TraceRecord(t, x_new.copy(), xt_new.copy(), mu_new.copy(),
-                                 rho_used.copy(), metric, g_t, gh_t))
-        xt_prev, xt, x, mu, rho = xt, xt_new, x_new, mu_new, rho_used
-        if metric < config.epsilon:
-            steady = True
-            for i in range(net.n_links):
-                if (abs(gh_t[i] - g_t[i]) > config.feas_tol
-                        or g_t[i] > net.capacities[i] + config.feas_tol):
-                    steady = False
-                    break
-            if steady:
-                converged = True
-                break
-
-    return AllocationResult(
-        converged=converged,
-        iterations=t,
-        x=x,
-        x_tilde=xt,
-        x_tilde_prev=xt_prev,
-        mu=mu,
-        rho=rho,
-        trace=tuple(trace),
-    )
+    model = Model(net, utilities)
+    rho = model.path_prices(state.mu)
+    xt, x = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho, rho_floor)
+    return xt, x, rho
 
 
 @dataclass(frozen=True)
@@ -388,30 +503,20 @@ class KKTResidual:
 
 def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResidual:
     """Stationarity and complementary-slackness residuals."""
-    rho = path_prices(net, mu)
-    stat = np.empty(net.n_sources)
-    stat_norm = np.empty(net.n_sources)
-    for j, u in enumerate(utilities):
-        xt = float(x_tilde[j])
-        xp = float(x_tilde_prev[j])
-        dutil = -u.c1 * math.exp(-u.c1 * xt) / math.expm1(-u.c1)
-        dload = (u.r / u.c2) * xp ** (1.0 / u.c2 - 1.0)
-        stat[j] = dutil - dload * float(rho[j])
-        stat_norm[j] = stat[j] / dutil
-    slack = np.empty(net.n_links)
-    slack_norm = np.empty(net.n_links)
-    for i, lid in enumerate(net.link_ids):
-        slack[i] = float(mu[i]) * (g_true(net, utilities, x_tilde, lid) - net.capacities[i])
-        slack_norm[i] = slack[i] / net.capacities[i]
-    return KKTResidual(stat, stat_norm, slack, slack_norm)
+    model = Model(net, utilities)
+    c = model.curves
+    xt = np.asarray(x_tilde, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    dutil = -c.c1 * np.exp(-c.c1 * xt) / np.expm1(-c.c1)
+    dload = c.r * _slope(c.p, np.asarray(x_tilde_prev, dtype=float))
+    stat = dutil - dload * model.path_prices(mu)
+    slack = mu * (model.g_true(xt) - model.capacities)
+    return KKTResidual(stat, stat / dutil, slack, slack / model.capacities)
 
 
 def steady_state_check(net: Network, utilities, state: IterateState, tol: float) -> bool:
     """True when the tangent and true loads agree within tol on every
     link and no true load exceeds capacity by more than tol."""
-    for i, lid in enumerate(net.link_ids):
-        g = g_true(net, utilities, state.x_tilde, lid)
-        gh = g_hat(net, utilities, state.x_tilde, state.x_tilde_prev, lid)
-        if abs(gh - g) > tol or g > net.capacities[i] + tol:
-            return False
-    return True
+    model = Model(net, utilities)
+    return steady(model.g_true(state.x_tilde), model.g_hat(state.x_tilde, state.x_tilde_prev),
+                  model.capacities, tol)

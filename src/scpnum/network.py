@@ -7,6 +7,7 @@ repeated runs accumulate floating point in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,7 @@ def build_network(links, routes) -> Network:
     ------
     DuplicateIdError, NonPositiveCapacityError, EmptyRouteError,
     UnknownLinkError
+        and ValueError for a capacity that is NaN or infinite.
     """
     link_list = sorted((int(lid), float(cap)) for lid, cap in links)
     seen: set[int] = set()
@@ -128,6 +130,8 @@ def build_network(links, routes) -> Network:
         if lid in seen:
             raise DuplicateIdError(f"duplicate link id {lid}")
         seen.add(lid)
+        if not math.isfinite(cap):
+            raise ValueError(f"link {lid} capacity {cap} must be finite")
         if cap <= 0.0:
             raise NonPositiveCapacityError(f"link {lid} capacity {cap} must be > 0")
 

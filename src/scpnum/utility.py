@@ -11,15 +11,14 @@ All evaluators accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SCurveUtility",
-    "LogisticUtility",
     "eval_scurve",
-    "eval_logistic",
     "inflection_point",
     "transform",
     "inverse_transform",
@@ -60,7 +59,10 @@ class SCurveUtility:
         if self.big_m is None:
             object.__setattr__(self, "big_m", float(self.r))
         for name in ("r", "c1", "c2", "m", "big_m"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
         if self.r <= 0.0:
             raise ValueError(f"r must be > 0, got {self.r}")
         if self.c1 <= 0.0:
@@ -71,30 +73,10 @@ class SCurveUtility:
             raise ValueError(f"need 0 < m < big_m, got m={self.m}, big_m={self.big_m}")
 
 
-@dataclass(frozen=True)
-class LogisticUtility:
-    """Classic sigmoid 1 / (1 + exp(-alpha*(x - beta))), inflection at beta."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-
-
 def eval_scurve(u: SCurveUtility, x):
     """Utility of rate x (Kbps); U(0) = 0 and U(r) = 1."""
     t = np.power(np.asarray(x, dtype=float) / u.r, u.c2)
     val = np.expm1(-u.c1 * t) / np.expm1(-u.c1)
-    return val if val.ndim else float(val)
-
-
-def eval_logistic(u: LogisticUtility, x):
-    """Logistic utility of rate x; value in (0, 1)."""
-    # clip keeps exp() finite; beyond +-700 the sigmoid is 0/1 to double precision
-    z = np.clip(u.alpha * (np.asarray(x, dtype=float) - u.beta), -700.0, 700.0)
-    val = 1.0 / (1.0 + np.exp(-z))
     return val if val.ndim else float(val)
 
 

@@ -20,6 +20,7 @@ from scpnum import (
     grid_search,
     inflection_point,
     local_opt_test,
+    polish,
     solve,
     total_utility,
 )
@@ -103,22 +104,13 @@ def ladder_solve(net, utilities, gamma: float = 1e-5):
     return None, None
 
 
-def polish(net, utilities, res, gamma: float, price_lag: str = "fresh"):
-    """Re-run from a converged state down to a machine-precision fixed
-    point, which is what the sampled local-optimality test needs."""
-    cfg = SolverConfig(gamma=gamma, epsilon=1e-10, max_iter=500000,
-                       mu0=tuple(res.mu), x0_policy="explicit",
-                       x0=tuple(res.x), price_lag=price_lag)
-    return solve(net, utilities, cfg)
-
-
 def oracle_agreement(net, utilities, res, gamma: float):
     """Criterion helper: compare against the grid oracle and the sampled
     local-optimality test; returns (cases, gap, report)."""
     engine_u = total_utility(utilities, res.x)
     oracle = grid_search(net, utilities, GridSpec())
     gap = engine_u - oracle.utility
-    polished = polish(net, utilities, res, gamma)
+    polished = polish(net, utilities, res, SolverConfig(gamma=gamma))
     report = local_opt_test(net, utilities, polished.x, radius=2.0,
                             samples=1000, seed=PERTURB_SEED)
     cases = []

@@ -76,7 +76,7 @@ def test_rate_step_interior_stationarity():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
     rho = 0.004
     y_prev = 0.3
-    _, y_new, x_new = rate_step(u, y_prev, rho, 1e-12)
+    y_new, x_new = rate_step(u, y_prev, rho, 1e-12)
     lo, hi = (u.m / u.r) ** u.c2, 1.0
     assert lo < y_new < hi
     lhs = u.c1 * math.exp(-u.c1 * y_new) / -math.expm1(-u.c1)
@@ -87,14 +87,14 @@ def test_rate_step_interior_stationarity():
 
 def test_rate_step_saturates_on_vanishing_price():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
-    _, y_new, x_new = rate_step(u, 0.5, 0.0, 1e-12)
+    y_new, x_new = rate_step(u, 0.5, 0.0, 1e-12)
     assert y_new == 1.0
     assert x_new == u.big_m
 
 
 def test_rate_step_clamps_to_minimum_on_huge_price():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=10.0)
-    _, y_new, x_new = rate_step(u, 0.5, 1e9, 1e-12)
+    y_new, x_new = rate_step(u, 0.5, 1e9, 1e-12)
     assert y_new == pytest.approx((10.0 / 256.0) ** 2.0, rel=1e-14)
     assert x_new == 10.0
 
@@ -113,7 +113,7 @@ def test_vector_updates_match_scalar_helpers():
     state = res.trace[5]
     st = IterateState(t=5, x_tilde=state.x_tilde,
                       x_tilde_prev=res.trace[4].x_tilde,
-                      mu=state.mu, rho=state.rho, A=np.zeros(net.n_sources),
+                      mu=state.mu, rho=state.rho,
                       x=state.x)
     mu_new = update_prices(net, utilities, st, config.gamma)
     for i, lid in enumerate(net.link_ids):
@@ -121,11 +121,11 @@ def test_vector_updates_match_scalar_helpers():
         assert mu_new[i] == price_step(float(st.mu[i]), config.gamma,
                                        net.capacities[i], gh)
     st2 = IterateState(t=5, x_tilde=st.x_tilde, x_tilde_prev=st.x_tilde_prev,
-                       mu=mu_new, rho=st.rho, A=np.zeros(net.n_sources), x=st.x)
-    _, xt, x, rho = update_rates(net, utilities, st2, config.rho_floor)
+                       mu=mu_new, rho=st.rho, x=st.x)
+    xt, x, rho = update_rates(net, utilities, st2, config.rho_floor)
     for j in range(net.n_sources):
-        _, yj, xj = rate_step(utilities[j], float(st.x_tilde[j]),
-                              float(rho[j]), config.rho_floor)
+        yj, xj = rate_step(utilities[j], float(st.x_tilde[j]),
+                           float(rho[j]), config.rho_floor)
         assert xt[j] == yj and x[j] == xj
     # reassembled step reproduces the recorded next iterate exactly
     assert np.array_equal(mu_new, res.trace[6].mu)
@@ -186,12 +186,12 @@ def test_steady_state_check_at_convergence():
     res = solve(net, utilities, config)
     st = IterateState(t=res.iterations, x_tilde=res.x_tilde,
                       x_tilde_prev=res.x_tilde_prev, mu=res.mu, rho=res.rho,
-                      A=np.zeros(net.n_sources), x=res.x)
+                      x=res.x)
     assert steady_state_check(net, utilities, st, config.feas_tol)
     # a stale expansion point far from the iterate breaks the equivalence
     st_bad = IterateState(t=0, x_tilde=res.x_tilde,
                           x_tilde_prev=res.x_tilde * 0.2, mu=res.mu,
-                          rho=res.rho, A=np.zeros(net.n_sources), x=res.x)
+                          rho=res.rho, x=res.x)
     assert not steady_state_check(net, utilities, st_bad, config.feas_tol)
 
 
@@ -221,6 +221,17 @@ def test_solver_config_validation():
         SolverConfig(x0_policy="random")
     with pytest.raises(ValueError):
         SolverConfig(price_lag="stale")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("gamma", math.nan), ("gamma", math.inf), ("epsilon", math.nan),
+    ("epsilon", math.inf), ("mu0", math.nan), ("mu0", math.inf),
+    ("mu0", (0.1, math.nan)), ("x0", (100.0, math.inf)), ("rho_floor", math.nan),
+    ("rho_floor", math.inf), ("feas_tol", math.nan), ("feas_tol", math.inf),
+])
+def test_solver_config_rejects_nonfinite(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
 
 
 def test_solve_validates_state_shapes():

@@ -1,5 +1,7 @@
 """Topology assembly, routing structure, and feasibility checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ def test_nonpositive_capacity_rejected():
         build_network([(1, 0.0)], [(1, (1,))])
     with pytest.raises(NonPositiveCapacityError):
         build_network([(1, -5.0)], [(1, (1,))])
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf])
+def test_nonfinite_capacity_rejected(cap):
+    with pytest.raises(ValueError):
+        build_network([(1, cap)], [(1, (1,))])
 
 
 def test_link_load_sums_routed_sources():

@@ -107,6 +107,30 @@ def test_utility_invariants_surface_with_path():
     assert exc.value.path == "sources[0]"
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("links", "capacity_kbps", float("nan")),
+    ("links", "capacity_kbps", float("inf")),
+    ("sources", "r_kbps", float("inf")),
+    ("sources", "c1", float("nan")),
+    ("sources", "c2", float("inf")),
+    ("sources", "big_m_kbps", float("inf")),
+    ("solver", "gamma", float("nan")),
+    ("solver", "epsilon", float("inf")),
+    ("solver", "mu0", float("nan")),
+    ("solver", "mu0", [float("inf")]),
+    ("solver", "x0", [float("nan")]),
+])
+def test_nonfinite_numbers_rejected(section, key, value):
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts
+    doc = json.loads(json.dumps(MINIMAL))
+    if section == "solver":
+        doc["solver"] = {key: value}
+    else:
+        doc[section][0][key] = value
+    with pytest.raises(ScenarioValidationError):
+        parse_scenario(json.dumps(doc))
+
+
 def test_solver_field_validation():
     doc = json.loads(json.dumps(MINIMAL))
     doc["solver"] = {"x0": [100.0, 200.0]}

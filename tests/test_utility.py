@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from scpnum import (
-    LogisticUtility,
     NegativeTransformedRateError,
     SCurveUtility,
-    eval_logistic,
     eval_scurve,
     inflection_point,
     inverse_transform,
@@ -62,6 +60,17 @@ def test_scurve_parameter_validation():
         SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=300.0)
     with pytest.raises(ValueError):
         SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("r", math.inf), ("c1", math.nan), ("c1", math.inf), ("c2", math.nan),
+    ("c2", math.inf), ("big_m", math.inf),
+])
+def test_scurve_rejects_nonfinite(field, value):
+    params = dict(r=256.0, c1=6.0, c2=2.0)
+    params[field] = value
+    with pytest.raises(ValueError):
+        SCurveUtility(**params)
 
 
 def test_big_m_defaults_to_encoding_rate():
@@ -162,28 +171,3 @@ def test_transformed_utility_derivatives_match_differences():
         assert d1 == pytest.approx((val_p - val_m) / (2.0 * h), rel=1e-8)
         assert d2 == pytest.approx((d1_p - d1_m) / (2.0 * h), rel=1e-8)
 
-
-def test_logistic_value_at_inflection():
-    u = LogisticUtility(alpha=0.1, beta=150.0)
-    assert eval_logistic(u, 150.0) == 0.5
-
-
-def test_logistic_monotone_and_bounded():
-    u = LogisticUtility(alpha=0.05, beta=200.0)
-    xs = np.linspace(0.0, 400.0, 200)
-    vals = eval_logistic(u, xs)
-    assert np.all(np.diff(vals) > 0.0)
-    assert np.all((vals > 0.0) & (vals < 1.0))
-
-
-def test_logistic_extreme_arguments_saturate():
-    # the exponent is clipped, so extremes saturate without overflowing
-    u = LogisticUtility(alpha=10.0, beta=0.0)
-    assert eval_logistic(u, 1e6) == pytest.approx(1.0, abs=1e-15)
-    assert eval_logistic(u, -1e6) == pytest.approx(0.0, abs=1e-300)
-    assert np.isfinite(eval_logistic(u, np.array([-1e9, 1e9]))).all()
-
-
-def test_logistic_parameter_validation():
-    with pytest.raises(ValueError):
-        LogisticUtility(alpha=0.0, beta=1.0)
