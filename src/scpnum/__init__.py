@@ -62,9 +62,7 @@ from .oracle import (
 )
 from .agents import (
     Message,
-    LinkAgent,
-    SourceAgent,
-    MissingReportError,
+    Agents,
     build_agents,
     run_round,
     run_to_convergence,

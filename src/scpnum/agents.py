@@ -3,12 +3,15 @@
 Link agents own prices, source agents own rates, and all cross-agent
 state moves through explicit messages in synchronous two-phase rounds:
 links update and announce prices, then sources update and report rates.
-Each agent runs the engine's array kernels on its own slice: a link
-applies the tangent-load kernel to its sources' reports and sums the
-terms left to right in ascending source-id order, and a source applies
-the rate kernel to its length-1 slice of the per-source constants. The
-kernels give the same bits on a slice as on the full arrays, so the
-trace is bit-identical to ``engine.solve`` on the same inputs.
+
+Each agent is its segment of the engine's CSR incidence list
+(:class:`scpnum.engine.Incidence`): link i owns mu[i] and a mailbox of
+its sources' reports (x̃, x̃_prev) in link order; source j owns x̃,
+x̃_prev, x and rho and a mailbox of its route's prices in route order.
+Mailboxes are written only from the values of delivered messages. Each
+phase runs a kernel once over all agents; every output reads only its
+own agent's segment and the sums add each segment left to right, so
+the trace is bit-identical to ``engine.solve`` on the same inputs.
 
 The rounds are the step of the engine's driver loop
 (:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
@@ -19,12 +22,13 @@ driver evaluates it between rounds, outside the message protocol.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .engine import (
-    Curves,
     IterateState,
     Model,
     SolverConfig,
@@ -32,15 +36,13 @@ from .engine import (
     iterate,
     price_step,
     rates,
-    total,
+    sums,
 )
 from .network import Network
 
 __all__ = [
     "Message",
-    "LinkAgent",
-    "SourceAgent",
-    "MissingReportError",
+    "Agents",
     "build_agents",
     "run_round",
     "run_to_convergence",
@@ -50,10 +52,6 @@ __all__ = [
 
 PRICE_UPDATE = "price_update"
 RATE_REPORT = "rate_report"
-
-
-class MissingReportError(RuntimeError):
-    """A link has no stored rate report from a source routed through it."""
 
 
 @dataclass(frozen=True)
@@ -75,143 +73,95 @@ class Message:
 
 
 @dataclass
-class LinkAgent:
-    """Holds one link's price and the rate reports of its sources.
+class Agents:
+    """Every link and source agent, one array per field.
 
-    ``terms`` caches each routed source's encoding rate r and load
-    exponent p = 1/c2, so the tangent load is computable locally from
-    reports alone.
+    ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x and
+    rho per source. ``reports`` holds the report mailboxes, rows x̃ and
+    x̃_prev, one column per incidence in link order; ``prices`` holds the
+    price mailboxes, one entry per incidence in route order.
+    ``link_id``/``source_id`` are the network's ids as Python ints.
     """
 
-    link_id: int
-    capacity: float
-    mu: float
-    terms: dict[int, tuple[float, float]]
-    reports: dict[int, tuple[float, float]] = field(default_factory=dict)
-
-    def tangent_load(self) -> float:
-        """Tangent (linearized) load from the stored reports, accumulated
-        in ascending source-id order."""
-        sids = sorted(self.terms)
-        for sid in sids:
-            if sid not in self.reports:
-                raise MissingReportError(
-                    f"link {self.link_id} has no report from source {sid}"
-                )
-        rows = [self.terms[sid] + self.reports[sid] for sid in sids]
-        r, p, xt, xt_prev = np.array(rows, dtype=float).reshape(len(rows), 4).T.copy()
-        return total(g_hat_terms(r, p, xt, xt_prev))
+    model: Model
+    state: IterateState
+    reports: np.ndarray
+    prices: np.ndarray
+    link_id: np.ndarray
+    source_id: np.ndarray
 
 
-@dataclass
-class SourceAgent:
-    """Holds one source's rate state and the prices of its route links.
+def _boxed(values) -> np.ndarray:
+    """One Python float per agent, so that the rows an agent sends share it."""
+    return np.array(values.tolist(), dtype=object)
 
-    ``curve`` is the source's length-1 slice of the per-source kernel
-    constants. ``prices`` are the prices the next rate update will use;
-    freshly delivered ones wait in ``pending`` until the configured
-    delivery moment (before the update for fresh pricing, after it for
-    lagged). ``rho`` is the path price the last update saw.
-    """
 
-    source_id: int
-    curve: Curves
-    route: tuple[int, ...]
-    x_tilde: float
-    x_tilde_prev: float
-    x: float
-    prices: dict[int, float]
-    rho: float
-    pending: dict[int, float] = field(default_factory=dict)
+def _rows(t: int, kind: str, senders, receivers, values, values_prev=None) -> list[Message]:
+    """Messages from object arrays of equal length, one per row."""
+    n = len(values)
+    prev = repeat(None, n) if values_prev is None else values_prev.tolist()
+    return list(map(Message, repeat(t, n), repeat(kind, n), senders.tolist(),
+                    receivers.tolist(), values.tolist(), prev))
 
-    def path_price(self) -> float:
-        return total(np.array([self.prices[lid] for lid in self.route]))
 
-    def update_rate(self, rho_floor: float) -> None:
-        self.rho = self.path_price()
-        xt, x = rates(self.curve, np.array([self.x_tilde]), np.array([self.rho]), rho_floor)
-        self.x_tilde_prev, self.x_tilde, self.x = self.x_tilde, float(xt[0]), float(x[0])
+def _values(messages: list[Message], name: str = "value") -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), messages), dtype=float, count=len(messages))
+
+
+def _report(agents: Agents, t: int) -> list[Message]:
+    """Every source reports (x̃, x̃_prev) to each link on its route, in
+    (source, link id) order; the barrier delivers the reports."""
+    m, s = agents.model, agents.state
+    rows = _rows(t, RATE_REPORT, agents.source_id[m.route_src], agents.link_id[m.route_link],
+                 _boxed(s.x_tilde)[m.route_src], _boxed(s.x_tilde_prev)[m.route_src])
+    # route-order row k lands in link-order column route[k]
+    agents.reports[:, m.route] = _values(rows), _values(rows, "value_prev")
+    return rows
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
-    """Instantiate agents from a model, already consistent: sources
-    start at the configured rates, links hold the round-0 reports.
+    """All agents of a model, already consistent: sources start at the
+    configured rates holding the initial prices of their routes, links
+    hold the round-0 reports.
 
-    Returns (links, sources, round-0 seeding messages).
+    Returns (agents, round-0 seeding messages).
     """
     model = Model(net, utilities)
-    c = model.curves
     state = model.initial_state(config)
-
-    sources = [
-        SourceAgent(
-            source_id=sid, curve=c.at(j), route=net.routes[j],
-            x_tilde=float(state.x_tilde[j]), x_tilde_prev=float(state.x_tilde_prev[j]),
-            x=float(state.x[j]), rho=float(state.rho[j]),
-            prices={lid: float(state.mu[net.link_index[lid]]) for lid in net.routes[j]},
-        )
-        for j, sid in enumerate(net.source_ids)
-    ]
-    links = [
-        LinkAgent(link_id=lid, capacity=net.capacities[i], mu=float(state.mu[i]),
-                  terms={sid: (float(c.r[net.source_index[sid]]),
-                               float(c.p[net.source_index[sid]]))
-                         for sid in net.sources_on_link[i]})
-        for i, lid in enumerate(net.link_ids)
-    ]
-    seed = [Message(0, RATE_REPORT, src.source_id, lid, src.x_tilde, src.x_tilde_prev)
-            for src in sources for lid in src.route]
-    _deliver_reports(links, seed)
-    return links, sources, seed
+    agents = Agents(model, state, reports=np.empty((2, len(model.link))),
+                    prices=state.mu[model.route_link],
+                    link_id=np.array(net.link_ids, dtype=object),
+                    source_id=np.array(net.source_ids, dtype=object))
+    return agents, _report(agents, 0)
 
 
-def _deliver_reports(links: list[LinkAgent], messages: list[Message]) -> None:
-    by_id = {ln.link_id: ln for ln in links}
-    for msg in messages:
-        if msg.kind == RATE_REPORT:
-            by_id[msg.receiver].reports[msg.sender] = (msg.value, msg.value_prev)
-
-
-def run_round(links: list[LinkAgent], sources: list[SourceAgent], t: int,
-              config: SolverConfig) -> list[Message]:
+def run_round(agents: Agents, t: int, config: SolverConfig) -> list[Message]:
     """One synchronous round: price phase, barrier, rate phase, barrier.
 
-    Within each phase agents act in ascending id order; results are
-    order-independent because agents only read messages delivered at
-    the preceding barrier. Returns the round's messages in emission
+    Agents read only messages delivered at the preceding barrier.
+    Returns the round's messages in emission order: price updates in
+    (link, source id) order, then rate reports in (source, link id)
     order.
     """
-    messages: list[Message] = []
+    m, s = agents.model, agents.state
+    c = m.curves
 
-    # phase A: every link updates its price from the stored reports
-    for ln in sorted(links, key=lambda a: a.link_id):
-        ln.mu = float(price_step(ln.mu, config.gamma, ln.capacity, ln.tangent_load()))
-        for sid in sorted(ln.terms):
-            messages.append(Message(t, PRICE_UPDATE, ln.link_id, sid, ln.mu))
+    # phase A: every link prices against the tangent load of its reports
+    ghat = sums(m.link, g_hat_terms(c.r[m.src], c.p[m.src], *agents.reports), m.n_links)
+    mu = price_step(s.mu, config.gamma, m.capacities, ghat)
+    prices = _rows(t, PRICE_UPDATE, agents.link_id[m.link], agents.source_id[m.src],
+                   _boxed(mu)[m.link])
 
-    # barrier: deliver prices
-    by_id = {src.source_id: src for src in sources}
-    for msg in messages:
-        by_id[msg.receiver].pending[msg.sender] = msg.value
+    # barrier: route-order slot k takes link-order row route[k]; the
+    # prices held before delivery stay for lagged pricing
+    held, agents.prices = agents.prices, _values(prices)[m.route]
 
-    # phase B: every source updates its rate and reports it
-    reports: list[Message] = []
-    for src in sorted(sources, key=lambda a: a.source_id):
-        if config.price_lag == "fresh":
-            src.prices.update(src.pending)
-            src.pending.clear()
-        src.update_rate(config.rho_floor)
-        if config.price_lag == "lagged":
-            src.prices.update(src.pending)
-            src.pending.clear()
-        for lid in src.route:
-            reports.append(Message(t, RATE_REPORT, src.source_id, lid,
-                                   src.x_tilde, src.x_tilde_prev))
-
-    # barrier: deliver reports
-    _deliver_reports(links, reports)
-    messages.extend(reports)
-    return messages
+    # phase B: every source sums its route's prices and updates its rate
+    rho = sums(m.route_src, agents.prices if config.price_lag == "fresh" else held,
+               m.n_sources)
+    xt, x = rates(c, s.x_tilde, rho, config.rho_floor)
+    agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x)
+    return prices + _report(agents, t)
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):
@@ -222,22 +172,13 @@ def run_to_convergence(net: Network, utilities, config: SolverConfig | None = No
     """
     if config is None:
         config = SolverConfig()
-    # build_agents lists both kinds of agent in ascending id order
-    links, sources, log = build_agents(net, utilities, config)
+    agents, log = build_agents(net, utilities, config)
 
     def step(state: IterateState) -> IterateState:
-        t = state.t + 1
-        log.extend(run_round(links, sources, t, config))
-        return IterateState(
-            t,
-            x_tilde=np.array([src.x_tilde for src in sources]),
-            x_tilde_prev=np.array([src.x_tilde_prev for src in sources]),
-            mu=np.array([ln.mu for ln in links]),
-            rho=np.array([src.rho for src in sources]),
-            x=np.array([src.x for src in sources]),
-        )
+        log.extend(run_round(agents, state.t + 1, config))
+        return agents.state
 
-    result = iterate(Model(net, utilities), config, step)
+    result = iterate(agents.model, config, step)
     return result, tuple(log)
 
 
@@ -260,16 +201,7 @@ def audit_locality(net: Network, messages) -> list[Message]:
     Empty list means every price went to a routed source and every
     report came from a routed source.
     """
-    violations = []
-    for m in messages:
-        if m.kind == PRICE_UPDATE:
-            i = net.link_index.get(m.sender)
-            ok = i is not None and m.receiver in net.sources_on_link[i]
-        elif m.kind == RATE_REPORT:
-            i = net.link_index.get(m.receiver)
-            ok = i is not None and m.sender in net.sources_on_link[i]
-        else:
-            ok = False
-        if not ok:
-            violations.append(m)
-    return violations
+    routed = {(lid, sid) for lid, on in zip(net.link_ids, net.sources_on_link) for sid in on}
+    return [m for m in messages
+            if not (m.kind == PRICE_UPDATE and (m.sender, m.receiver) in routed
+                    or m.kind == RATE_REPORT and (m.receiver, m.sender) in routed)]

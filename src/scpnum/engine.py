@@ -23,8 +23,9 @@ and on the full array.
 :func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
 schedulers over one driver loop, :func:`iterate`, which owns the initial
 state, the stopping test, the trace and the result. The engine steps all
-sources at once, the agents step each link and source on its own slice,
-and the two traces are bitwise-identical.
+sources at once, the agents run one message round in which each link
+and source is its own segment of the incidence list, and the two traces
+are bitwise-identical.
 """
 
 from __future__ import annotations
@@ -83,12 +84,9 @@ class SolverConfig:
         Iteration cap.
     mu0
         Initial link price, scalar or per-link sequence, >= 0.
-    x0_policy
-        'midpoint' starts every source at (m + M)/2; 'explicit' takes
-        rates from ``x0``.
     x0
-        Per-source initial rates in Kbps, required when x0_policy is
-        'explicit'.
+        Per-source initial rates in Kbps, each inside its rate window;
+        None starts every source at the midpoint (m + M)/2.
     price_lag
         'fresh' lets the rate step see the prices just produced by the
         price step; 'lagged' uses the prices from the previous
@@ -104,7 +102,6 @@ class SolverConfig:
     epsilon: float = 0.1
     max_iter: int = 10000
     mu0: float | tuple[float, ...] = 1.0
-    x0_policy: str = "midpoint"
     x0: tuple[float, ...] | None = None
     price_lag: str = "fresh"
     rho_floor: float = 1e-12
@@ -129,10 +126,6 @@ class SolverConfig:
         # zero is allowed: warm restarts carry mu=0 on inactive links
         if np.any(np.asarray(mu0) < 0.0):
             raise ValueError("mu0 must be >= 0")
-        if self.x0_policy not in ("midpoint", "explicit"):
-            raise ValueError(f"unknown x0_policy {self.x0_policy!r}")
-        if self.x0_policy == "explicit" and self.x0 is None:
-            raise ValueError("x0_policy 'explicit' requires x0")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
             _finite("x0", self.x0)
@@ -222,11 +215,6 @@ def sums(index, weights, n: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=n)
 
 
-def total(weights) -> float:
-    """Left-to-right sum of one group."""
-    return float(sums(np.zeros(len(weights), dtype=np.intp), weights, 1)[0])
-
-
 def g_terms(r, p, xt):
     """Per-source Kbps contributions to the true link load."""
     return r * np.power(xt, p)
@@ -283,8 +271,9 @@ class Incidence:
 
     ``link``/``src`` is the CSR incidence list: one entry per (link,
     source) pair, sorted by link index and then by ascending source id.
-    ``route_link``/``route_src`` holds the same pairs in route order (by
-    source, then ascending link id) for the path-price sums.
+    ``route`` lists the same entries in route order (by source, then
+    ascending link id), and ``route_link``/``route_src`` are the pairs in
+    that order, for the path-price sums.
     """
 
     def __init__(self, net: Network):
@@ -295,9 +284,9 @@ class Incidence:
                               [len(on) for on in net.sources_on_link])
         self.src = np.array([net.source_index[sid] for on in net.sources_on_link for sid in on],
                             dtype=np.intp)
-        order = np.argsort(self.src, kind="stable")
-        self.route_src = self.src[order]
-        self.route_link = self.link[order]
+        self.route = np.argsort(self.src, kind="stable")
+        self.route_src = self.src[self.route]
+        self.route_link = self.link[self.route]
 
     def link_sums(self, per_source) -> np.ndarray:
         return sums(self.link, per_source[self.src], self.n_links)
@@ -327,7 +316,7 @@ class Model(Incidence):
 
     def initial_state(self, config: SolverConfig) -> IterateState:
         c = self.curves
-        if config.x0_policy == "explicit":
+        if config.x0 is not None:
             x0 = np.array(config.x0, dtype=float)
             if x0.shape != (self.n_sources,):
                 raise ValueError(f"x0 must have {self.n_sources} entries, got {x0.shape}")
@@ -413,8 +402,7 @@ def polish(net: Network, utilities, res: AllocationResult,
     iterations), which is what the sampled local-optimality test needs.
     Step size, price lag and tolerances come from ``config``."""
     return solve(net, utilities, replace(
-        config, epsilon=1e-10, max_iter=500000, mu0=tuple(res.mu),
-        x0_policy="explicit", x0=tuple(res.x)))
+        config, epsilon=1e-10, max_iter=500000, mu0=tuple(res.mu), x0=tuple(res.x)))
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,16 @@ def _require(doc: dict, key: str, types, path: str):
     return val
 
 
+def _number(val, path: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ScenarioValidationError(path, f"expected number, got {type(val).__name__}")
+    return float(val)
+
+
 def _optional_number(doc: dict, key: str, path: str, default=None):
     if key not in doc:
         return default
-    val = doc[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ScenarioValidationError(f"{path}.{key}", f"expected number, got {type(val).__name__}")
-    return float(val)
+    return _number(doc[key], f"{path}.{key}")
 
 
 def _model_from_doc(doc: dict):
@@ -217,7 +220,7 @@ def _model_from_doc(doc: dict):
             if len(val) != net.n_links:
                 raise ScenarioValidationError(
                     f"{spath}.mu0", f"expected {net.n_links} entries, got {len(val)}")
-            kwargs["mu0"] = tuple(float(v) for v in val)
+            kwargs["mu0"] = tuple(_number(v, f"{spath}.mu0[{i}]") for i, v in enumerate(val))
         elif isinstance(val, (int, float)) and not isinstance(val, bool):
             kwargs["mu0"] = float(val)
         else:
@@ -227,8 +230,7 @@ def _model_from_doc(doc: dict):
         if not isinstance(val, list) or len(val) != net.n_sources:
             raise ScenarioValidationError(
                 f"{spath}.x0", f"expected list of {net.n_sources} rates")
-        kwargs["x0"] = tuple(float(v) for v in val)
-        kwargs["x0_policy"] = "explicit"
+        kwargs["x0"] = tuple(_number(v, f"{spath}.x0[{i}]") for i, v in enumerate(val))
     if "price_lag" in solver_doc:
         val = solver_doc["price_lag"]
         if not isinstance(val, str):

@@ -97,7 +97,7 @@ def ladder_solve(net, utilities, gamma: float = 1e-5):
     x0 = recipe_x0(net, utilities)
     for mu0 in MU0_LADDER:
         cfg = SolverConfig(gamma=gamma, epsilon=1e-6, max_iter=200000,
-                           mu0=mu0, x0_policy="explicit", x0=x0)
+                           mu0=mu0, x0=x0)
         res = solve(net, utilities, cfg)
         if res.converged and complementarity_ok(net, utilities, res):
             return mu0, res

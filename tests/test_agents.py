@@ -3,14 +3,13 @@ accounting, and locality."""
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scpnum import (
-    LinkAgent,
     Message,
-    MissingReportError,
     SCurveUtility,
     SolverConfig,
     audit_locality,
@@ -43,23 +42,23 @@ def assert_traces_identical(res_engine, res_agents):
 
 def test_round_zero_seeds_every_link():
     net, utilities, config = load_scenario("chain-3")
-    links, sources, seed = build_agents(net, utilities, config)
+    _, seed = build_agents(net, utilities, config)
     assert len(seed) == net.nnz
     assert all(m.round == 0 and m.kind == RATE_REPORT for m in seed)
-    for ln in links:
-        assert sorted(ln.reports) == sorted(ln.terms)
+    routed = [(lid, sid) for lid, on in zip(net.link_ids, net.sources_on_link) for sid in on]
+    assert sorted((m.receiver, m.sender) for m in seed) == sorted(routed)
 
 
 def test_one_round_equals_one_engine_iteration():
     net, utilities, config = load_scenario("paper-scenario-1")
-    links, sources, _ = build_agents(net, utilities, config)
-    run_round(links, sources, 1, config)
+    agents, _ = build_agents(net, utilities, config)
+    run_round(agents, 1, config)
     cfg1 = SolverConfig(gamma=config.gamma, epsilon=1e-15, max_iter=1,
-                        mu0=config.mu0, x0_policy="explicit", x0=config.x0,
+                        mu0=config.mu0, x0=config.x0,
                         price_lag=config.price_lag)
     ref = solve(net, utilities, cfg1).trace[1]
-    x = np.array([s.x for s in sorted(sources, key=lambda a: a.source_id)])
-    mu = np.array([l.mu for l in sorted(links, key=lambda a: a.link_id)])
+    x = agents.state.x
+    mu = agents.state.mu
     assert np.array_equal(x, ref.x)
     assert np.array_equal(mu, ref.mu)
 
@@ -83,7 +82,7 @@ def test_chain_trace_equivalence():
 def test_lagged_trace_equivalence():
     net, utilities, _ = load_scenario("paper-scenario-1")
     config = SolverConfig(gamma=2e-5, epsilon=0.1, max_iter=10000, mu0=0.01,
-                          x0_policy="explicit", x0=(200.0,) * 5,
+                          x0=(200.0,) * 5,
                           price_lag="lagged")
     res_engine = solve(net, utilities, config)
     res_agents, _ = run_to_convergence(net, utilities, config)
@@ -105,8 +104,8 @@ def test_message_counts():
 
 def test_round_message_phases():
     net, utilities, config = load_scenario("chain-3")
-    links, sources, _ = build_agents(net, utilities, config)
-    msgs = run_round(links, sources, 1, config)
+    agents, _ = build_agents(net, utilities, config)
+    msgs = run_round(agents, 1, config)
     kinds = [m.kind for m in msgs]
     flip = kinds.index(RATE_REPORT)
     assert all(k == PRICE_UPDATE for k in kinds[:flip])
@@ -116,14 +115,44 @@ def test_round_message_phases():
 
 def test_rate_reports_carry_both_iterates():
     net, utilities, config = load_scenario("paper-scenario-1")
-    links, sources, _ = build_agents(net, utilities, config)
-    before = {s.source_id: s.x_tilde for s in sources}
-    msgs = run_round(links, sources, 1, config)
+    agents, _ = build_agents(net, utilities, config)
+    before = dict(zip(net.source_ids, agents.state.x_tilde.tolist()))
+    msgs = run_round(agents, 1, config)
     for m in msgs:
         if m.kind == RATE_REPORT:
             assert m.value_prev == before[m.sender]
         else:
             assert m.value_prev is None
+
+
+@pytest.mark.parametrize("name,price_lag", [("chain-3", "fresh"),
+                                             ("paper-scenario-1", "lagged")])
+def test_message_log_follows_the_trace(name, price_lag):
+    net, utilities, config = load_scenario(name)
+    config = replace(config, price_lag=price_lag)
+    res, log = run_to_convergence(net, utilities, config)
+    trace = res.trace
+    routed = [(lid, sid) for lid, on in zip(net.link_ids, net.sources_on_link) for sid in on]
+    by_route = sorted((sid, lid) for lid, sid in routed)
+    by_round = {}
+    for m in log:
+        by_round.setdefault(m.round, []).append(m)
+    assert sorted(by_round) == list(range(res.iterations + 1))
+    for t, msgs in by_round.items():
+        prices = [m for m in msgs if m.kind == PRICE_UPDATE]
+        reports = [m for m in msgs if m.kind == RATE_REPORT]
+        assert msgs == prices + reports
+        # price updates in (link, source id) order, reports in (source, link id) order
+        assert [(m.sender, m.receiver) for m in prices] == (routed if t else [])
+        assert [(m.sender, m.receiver) for m in reports] == by_route
+        for m in prices:
+            assert m.value == trace[t].mu[net.link_index[m.sender]]
+            assert m.value_prev is None
+        prev = trace[t - 1] if t else trace[0]
+        for m in reports:
+            j = net.source_index[m.sender]
+            assert m.value == trace[t].x_tilde[j]
+            assert m.value_prev == prev.x_tilde[j]
 
 
 def test_locality_audit_flags_unrouted_pairs():
@@ -137,20 +166,13 @@ def test_locality_audit_flags_unrouted_pairs():
     assert audit_locality(net, [bogus_kind]) == [bogus_kind]
 
 
-def test_missing_report_is_an_error():
-    ln = LinkAgent(link_id=1, capacity=100.0, mu=0.1,
-                   terms={1: (256.0, 2.0)})
-    with pytest.raises(MissingReportError):
-        ln.tangent_load()
-
-
 def test_huge_tolerance_stops_after_first_round():
     # a source already saturated on an uncongested link is a fixed
     # point, so the loosest possible tolerance stops in one round
     net = build_network([(1, 300.0)], [(1, (1,))])
     utilities = (SCurveUtility(r=256.0, c1=6.0, c2=2.0),)
     config = SolverConfig(gamma=1e-4, epsilon=1e6, max_iter=50, mu0=0.001,
-                          x0_policy="explicit", x0=(256.0,))
+                          x0=(256.0,))
     res, log = run_to_convergence(net, utilities, config)
     assert res.converged
     assert res.iterations == 1

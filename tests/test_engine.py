@@ -163,7 +163,7 @@ def test_midpoint_initialization():
 def test_fresh_and_lagged_share_fixed_points():
     net, utilities, _ = load_scenario("paper-scenario-1")
     base = dict(gamma=2e-5, epsilon=1e-8, max_iter=200000, mu0=0.01,
-                x0_policy="explicit", x0=(200.0,) * 5)
+                x0=(200.0,) * 5)
     fresh = solve(net, utilities, SolverConfig(price_lag="fresh", **base))
     lagged = solve(net, utilities, SolverConfig(price_lag="lagged", **base))
     assert fresh.converged and lagged.converged
@@ -174,7 +174,7 @@ def test_fresh_and_lagged_share_fixed_points():
 def test_iteration_cap_reported_as_not_converged():
     net, utilities, config = load_scenario("paper-scenario-1")
     cfg = SolverConfig(gamma=config.gamma, epsilon=1e-9, max_iter=3,
-                       mu0=0.01, x0_policy="explicit", x0=config.x0)
+                       mu0=0.01, x0=config.x0)
     res = solve(net, utilities, cfg)
     assert not res.converged
     assert res.iterations == 3
@@ -216,10 +216,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu0=-0.1)
     with pytest.raises(ValueError):
-        SolverConfig(x0_policy="explicit")
-    with pytest.raises(ValueError):
-        SolverConfig(x0_policy="random")
-    with pytest.raises(ValueError):
         SolverConfig(price_lag="stale")
 
 
@@ -239,6 +235,6 @@ def test_solve_validates_state_shapes():
     with pytest.raises(ValueError):
         solve(net, utilities, SolverConfig(mu0=(0.1, 0.2)))
     with pytest.raises(ValueError):
-        solve(net, utilities, SolverConfig(x0_policy="explicit", x0=(10.0, 20.0)))
+        solve(net, utilities, SolverConfig(x0=(10.0, 20.0)))
     with pytest.raises(ValueError):
-        solve(net, utilities, SolverConfig(x0_policy="explicit", x0=(9000.0,)))
+        solve(net, utilities, SolverConfig(x0=(9000.0,)))

@@ -44,7 +44,7 @@ def test_crowded_links_trace_equivalence(price_lag):
     net, utilities = crowded_instance()
     assert max(len(on) for on in net.sources_on_link) >= 8
     config = SolverConfig(gamma=1e-6, epsilon=1e-6, max_iter=3000, mu0=1e-4,
-                          x0_policy="explicit", x0=recipe_x0(net, utilities),
+                          x0=recipe_x0(net, utilities),
                           price_lag=price_lag)
     res_e = solve(net, utilities, config)
     res_a, _ = run_to_convergence(net, utilities, config)
@@ -62,7 +62,7 @@ def test_unrouted_link_carries_no_load():
     net = build_network([(1, 300.0), (2, 100.0)], [(1, (1,))])
     utilities = (SCurveUtility(r=256.0, c1=6.0, c2=2.0),)
     config = SolverConfig(gamma=1e-4, epsilon=1e-6, max_iter=200, mu0=0.01,
-                          x0_policy="explicit", x0=(200.0,))
+                          x0=(200.0,))
     res_e = solve(net, utilities, config)
     res_a, _ = run_to_convergence(net, utilities, config)
     assert res_e.iterations == res_a.iterations

@@ -1,10 +1,15 @@
 """Scenario documents and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scpnum
 from scpnum import (
     BUILT_IN_SCENARIOS,
     ParseError,
@@ -151,6 +156,39 @@ def test_solver_field_validation():
     doc["solver"] = {"price_lag": "stale"}
     with pytest.raises(ScenarioValidationError):
         parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("x0", ["abc"], "solver.x0[0]"),
+    ("x0", [None], "solver.x0[0]"),
+    ("x0", [True], "solver.x0[0]"),
+    ("mu0", [None], "solver.mu0[0]"),
+    ("mu0", ["1"], "solver.mu0[0]"),
+    ("mu0", [[0.1]], "solver.mu0[0]"),
+])
+def test_solver_list_entries_must_be_numbers(key, value, path):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {key: value}
+    with pytest.raises(ScenarioValidationError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("key,value", [("x0", ["abc"]), ("mu0", [None])])
+def test_cli_run_rejects_non_number_list_entry(tmp_path, key, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {key: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(scpnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "scpnum.cli", "run", str(bad),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"solver.{key}[0]" in proc.stderr
 
 
 def test_unknown_scenario_name():
