@@ -25,6 +25,7 @@ import csv
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ PRICE_UPDATE = "price_update"
 RATE_REPORT = "rate_report"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One point-to-point exchange.
 
     Price updates carry the link's new price in ``value`` and leave
@@ -159,7 +159,7 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> list[Message]:
     # phase B: every source sums its route's prices and updates its rate
     rho = sums(m.route_src, agents.prices if config.price_lag == "fresh" else held,
                m.n_sources)
-    xt, x = rates(c, s.x_tilde, rho, config.rho_floor)
+    xt, x = rates(c, s.x_tilde, rho)
     agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x)
     return prices + _report(agents, t)
 

@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 
+# path prices below this saturate the rate at its upper bound
+RHO_FLOOR = 1e-12
+
+
 class NonPositiveExpansionPointError(ValueError):
     """Tangent expansion point must be strictly positive."""
 
@@ -91,11 +95,12 @@ class SolverConfig:
         'fresh' lets the rate step see the prices just produced by the
         price step; 'lagged' uses the prices from the previous
         iteration. Both settings share fixed points.
-    rho_floor
-        Path prices below this saturate the rate at its upper bound.
     feas_tol
         Feasibility slack in Kbps, >= 0, used by the steady-state test
         and for reporting.
+
+    The path-price floor below which a rate saturates at its upper
+    bound is the module constant ``RHO_FLOOR``, not a setting.
     """
 
     gamma: float = 1e-4
@@ -104,11 +109,10 @@ class SolverConfig:
     mu0: float | tuple[float, ...] = 1.0
     x0: tuple[float, ...] | None = None
     price_lag: str = "fresh"
-    rho_floor: float = 1e-12
     feas_tol: float = 0.5
 
     def __post_init__(self):
-        for name in ("gamma", "epsilon", "rho_floor", "feas_tol"):
+        for name in ("gamma", "epsilon", "feas_tol"):
             _finite(name, (getattr(self, name),))
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
@@ -116,8 +120,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.rho_floor <= 0.0:
-            raise ValueError(f"rho_floor must be > 0, got {self.rho_floor}")
         if self.feas_tol < 0.0:
             raise ValueError(f"feas_tol must be >= 0, got {self.feas_tol}")
         mu0 = self.mu0 if isinstance(self.mu0, (int, float)) else tuple(float(v) for v in self.mu0)
@@ -244,14 +246,14 @@ def price_step(mu, gamma: float, capacity, ghat):
     return np.maximum(0.0, mu - gamma * (capacity - ghat))
 
 
-def rates(c: Curves, xt_cur, rho, rho_floor: float):
+def rates(c: Curves, xt_cur, rho):
     """Closed-form transformed-rate maximizer per source.
 
     Solves the per-source stationarity condition given the path prices
     ``rho`` and the expansion points ``xt_cur``, clamps into the
     transformed window, and maps back to Kbps. Returns (x_tilde, x).
     """
-    sat = rho < rho_floor  # vanishing path price: rate saturates
+    sat = rho < RHO_FLOOR  # vanishing path price: rate saturates
     a = c.log_k + (1.0 - c.p) * np.log(xt_cur)
     raw = np.where(sat, c.hi, (a - np.log(np.where(sat, 1.0, rho))) / c.c1)
     xt_new = np.minimum(np.maximum(raw, c.lo), c.hi)
@@ -389,7 +391,7 @@ def solve(net: Network, utilities, config: SolverConfig | None = None) -> Alloca
         mu = price_step(s.mu, config.gamma, model.capacities,
                         model.g_hat(s.x_tilde, s.x_tilde_prev))
         rho = model.path_prices(mu if fresh else s.mu)
-        xt, x = rates(model.curves, s.x_tilde, rho, config.rho_floor)
+        xt, x = rates(model.curves, s.x_tilde, rho)
         return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x)
 
     return iterate(model, config, step)
@@ -419,11 +421,11 @@ def g_hat_term(r: float, c2: float, xt: float, xt_prev: float) -> float:
                              np.array([xt_prev]))[0])
 
 
-def rate_step(u: SCurveUtility, xt_cur: float, rho: float, rho_floor: float) -> tuple[float, float]:
+def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float]:
     """The rate kernel for one source. Returns (new transformed rate,
     new rate in Kbps)."""
     xt, x = rates(Curves.of((u,)), np.array([xt_cur], dtype=float),
-                  np.array([rho], dtype=float), rho_floor)
+                  np.array([rho], dtype=float))
     return float(xt[0]), float(x[0])
 
 
@@ -460,7 +462,7 @@ def path_prices(net: Network, mu) -> np.ndarray:
     return Incidence(net).path_prices(mu)
 
 
-def update_rates(net: Network, utilities, state: IterateState, rho_floor: float = 1e-12):
+def update_rates(net: Network, utilities, state: IterateState):
     """Closed-form rate update for every source against state.mu.
 
     Returns (x_tilde, x, rho) arrays. x_tilde is clamped into each
@@ -468,7 +470,7 @@ def update_rates(net: Network, utilities, state: IterateState, rho_floor: float 
     """
     model = Model(net, utilities)
     rho = model.path_prices(state.mu)
-    xt, x = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho, rho_floor)
+    xt, x = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho)
     return xt, x, rho
 
 

@@ -122,7 +122,9 @@ def build_network(links, routes) -> Network:
     ------
     DuplicateIdError, NonPositiveCapacityError, EmptyRouteError,
     UnknownLinkError
-        and ValueError for a capacity that is NaN or infinite.
+        and ValueError for a capacity that is NaN or infinite, or for a
+        network with no sources (there is nothing to allocate, and the
+        oracle's grid scan needs at least one axis).
     """
     link_list = sorted((int(lid), float(cap)) for lid, cap in links)
     seen: set[int] = set()
@@ -136,6 +138,8 @@ def build_network(links, routes) -> Network:
             raise NonPositiveCapacityError(f"link {lid} capacity {cap} must be > 0")
 
     route_list = sorted((int(sid), tuple(sorted({int(l) for l in route}))) for sid, route in routes)
+    if not route_list:
+        raise ValueError("a network needs at least one source")
     seen.clear()
     declared = {lid for lid, _ in link_list}
     for sid, route in route_list:

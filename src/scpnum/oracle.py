@@ -117,66 +117,37 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
 
     The first axis is looped in Python and the remaining axes are
     broadcast, which keeps memory at points**(S-1) while the first-found
-    argmax (C order) realizes the lexicographic tie-break.
+    argmax (C order) realizes the lexicographic tie-break. Every tail sum
+    starts from a 0-d zero, so a link that no tail source crosses gives a
+    0-d mask and a single source gives a 0-d utility with an empty tail
+    index; ``build_network`` guarantees S >= 1 and L >= 1.
     """
-    S = len(grids)
-    tail_shape = tuple(len(g) for g in grids[1:])
-
-    def tail_broadcast(vals, axis):
-        shape = [1] * (S - 1)
-        shape[axis] = len(vals)
-        return vals.reshape(shape)
-
-    if S == 1:
-        util_tail = 0.0
-    else:
-        util_tail = np.zeros(tail_shape)
-        for j in range(1, S):
-            util_tail = util_tail + tail_broadcast(eval_scurve(utilities[j], grids[j]), j - 1)
-
-    # per link: load from sources 2..S (broadcast) and whether source 1 contributes
-    link_tails = []
-    for i, lid in enumerate(net.link_ids):
-        members = set(net.sources_on_link[i])
-        first = net.source_ids[0] in members
-        tail = None
-        for j in range(1, S):
-            if net.source_ids[j] in members:
-                term = tail_broadcast(grids[j], j - 1)
-                tail = term if tail is None else tail + term
-        link_tails.append((first, tail, net.capacities[i]))
+    axes = np.meshgrid(*grids[1:], indexing="ij", sparse=True)
+    zero = np.zeros(())
+    util_tail = sum((eval_scurve(u, g).reshape(ax.shape)
+                     for u, g, ax in zip(utilities[1:], grids[1:], axes)), zero)
+    # per link: whether source 1 crosses it, the load of sources 2..S, the capacity
+    link_tails = [(net.source_ids[0] in on,
+                   sum((ax for sid, ax in zip(net.source_ids[1:], axes) if sid in on), zero),
+                   cap)
+                  for on, cap in zip(net.sources_on_link, net.capacities)]
 
     best_x, best_u = incumbent
-    for i0, x0 in enumerate(grids[0]):
+    for x0 in grids[0]:
         u_here = eval_scurve(utilities[0], x0) + util_tail
-        feas = None
-        dead = False
-        for first, tail, cap in link_tails:
-            head = x0 if first else 0.0
-            if tail is None:
-                if head > cap + feas_tol:
-                    dead = True
-                    break
-            else:
-                mask = head + tail <= cap + feas_tol
-                feas = mask if feas is None else feas & mask
-        if dead:
+        masks = ((x0 if first else 0.0) + tail <= cap + feas_tol for first, tail, cap in link_tails)
+        feas = next(masks)
+        for mask in masks:
+            feas = feas & mask
+        if not feas.any():
             continue
-        if S == 1:
-            cand_u, cand = float(u_here), np.array([x0])
-        else:
-            if feas is not None:
-                if not feas.any():
-                    continue
-                u_here = np.where(feas, u_here, -np.inf)
-            flat = int(np.argmax(u_here))
-            cand_u = float(u_here.flat[flat])
-            if not np.isfinite(cand_u):
-                continue
-            idx = np.unravel_index(flat, tail_shape)
-            cand = np.array([x0] + [grids[j + 1][idx[j]] for j in range(S - 1)])
+        u_here = np.where(feas, u_here, -np.inf)
+        flat = int(np.argmax(u_here))
+        cand_u = float(u_here.flat[flat])
         if best_u is None or cand_u > best_u:
-            best_x, best_u = cand, cand_u
+            idx = np.unravel_index(flat, u_here.shape)
+            best_x = np.array([x0, *(g[i] for g, i in zip(grids[1:], idx))])
+            best_u = cand_u
     return best_x, best_u
 
 

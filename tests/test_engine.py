@@ -76,7 +76,7 @@ def test_rate_step_interior_stationarity():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
     rho = 0.004
     y_prev = 0.3
-    y_new, x_new = rate_step(u, y_prev, rho, 1e-12)
+    y_new, x_new = rate_step(u, y_prev, rho)
     lo, hi = (u.m / u.r) ** u.c2, 1.0
     assert lo < y_new < hi
     lhs = u.c1 * math.exp(-u.c1 * y_new) / -math.expm1(-u.c1)
@@ -87,14 +87,14 @@ def test_rate_step_interior_stationarity():
 
 def test_rate_step_saturates_on_vanishing_price():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
-    y_new, x_new = rate_step(u, 0.5, 0.0, 1e-12)
+    y_new, x_new = rate_step(u, 0.5, 0.0)
     assert y_new == 1.0
     assert x_new == u.big_m
 
 
 def test_rate_step_clamps_to_minimum_on_huge_price():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=10.0)
-    y_new, x_new = rate_step(u, 0.5, 1e9, 1e-12)
+    y_new, x_new = rate_step(u, 0.5, 1e9)
     assert y_new == pytest.approx((10.0 / 256.0) ** 2.0, rel=1e-14)
     assert x_new == 10.0
 
@@ -122,10 +122,9 @@ def test_vector_updates_match_scalar_helpers():
                                        net.capacities[i], gh)
     st2 = IterateState(t=5, x_tilde=st.x_tilde, x_tilde_prev=st.x_tilde_prev,
                        mu=mu_new, rho=st.rho, x=st.x)
-    xt, x, rho = update_rates(net, utilities, st2, config.rho_floor)
+    xt, x, rho = update_rates(net, utilities, st2)
     for j in range(net.n_sources):
-        yj, xj = rate_step(utilities[j], float(st.x_tilde[j]),
-                           float(rho[j]), config.rho_floor)
+        yj, xj = rate_step(utilities[j], float(st.x_tilde[j]), float(rho[j]))
         assert xt[j] == yj and x[j] == xj
     # reassembled step reproduces the recorded next iterate exactly
     assert np.array_equal(mu_new, res.trace[6].mu)
@@ -222,8 +221,8 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("gamma", math.nan), ("gamma", math.inf), ("epsilon", math.nan),
     ("epsilon", math.inf), ("mu0", math.nan), ("mu0", math.inf),
-    ("mu0", (0.1, math.nan)), ("x0", (100.0, math.inf)), ("rho_floor", math.nan),
-    ("rho_floor", math.inf), ("feas_tol", math.nan), ("feas_tol", math.inf),
+    ("mu0", (0.1, math.nan)), ("x0", (100.0, math.inf)), ("feas_tol", math.nan),
+    ("feas_tol", math.inf),
 ])
 def test_solver_config_rejects_nonfinite(field, value):
     with pytest.raises(ValueError):

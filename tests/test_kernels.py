@@ -86,12 +86,12 @@ def test_rate_and_load_kernels_are_slice_invariant():
     xp = rng.uniform(c.lo, c.hi)
     rho = rng.uniform(0.0, 0.05, size=n)
     rho[::50] = 0.0  # vanishing path price: the saturating branch
-    full_rates = rates(c, xt, rho, 1e-12)
+    full_rates = rates(c, xt, rho)
     full_g = g_terms(c.r, c.p, xt)
     full_gh = g_hat_terms(c.r, c.p, xt, xp)
     for j in range(n):
         cj, s = c.at(j), slice(j, j + 1)
-        xt_j, x_j = rates(cj, xt[s], rho[s], 1e-12)
+        xt_j, x_j = rates(cj, xt[s], rho[s])
         assert xt_j[0] == full_rates[0][j] and x_j[0] == full_rates[1][j], j
         assert g_terms(cj.r, cj.p, xt[s])[0] == full_g[j], j
         assert g_hat_terms(cj.r, cj.p, xt[s], xp[s])[0] == full_gh[j], j

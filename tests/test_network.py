@@ -76,6 +76,11 @@ def test_empty_route_rejected():
         build_network([(1, 10.0)], [(1, ())])
 
 
+def test_no_sources_rejected():
+    with pytest.raises(ValueError, match="at least one source"):
+        build_network([(1, 10.0)], [])
+
+
 def test_undeclared_link_rejected():
     with pytest.raises(UnknownLinkError):
         build_network([(1, 10.0)], [(1, (1, 7))])

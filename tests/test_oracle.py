@@ -1,5 +1,7 @@
 """Grid-search oracle, sampled local optimality, and gradient checking."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from scpnum import (
     eval_scurve,
     fd_gradient_check,
     grid_search,
+    is_feasible,
     local_opt_test,
     perturbation_seed,
     total_utility,
@@ -76,6 +79,50 @@ def test_grid_no_feasible_point():
     utilities = (SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=50.0),)
     with pytest.raises(NoFeasiblePointError):
         grid_search(net, utilities, GridSpec())
+
+
+def brute_force(net, utilities, n, feas_tol):
+    """Every grid point in lexicographic order; the first strictly best
+    feasible one wins."""
+    grids = [np.linspace(u.m, u.big_m, n) for u in utilities]
+    bounds = [(u.m, u.big_m) for u in utilities]
+    best_x, best_u = None, -np.inf
+    for point in itertools.product(*grids):
+        x = np.array(point)
+        if is_feasible(net, x, bounds, feas_tol).ok:
+            u = total_utility(utilities, x)
+            if u > best_u:
+                best_x, best_u = x, u
+    return best_x, best_u
+
+
+S_CURVES = (SCurveUtility(r=256.0, c1=6.0, c2=2.0),
+            SCurveUtility(r=192.0, c1=5.0, c2=4.0),
+            SCurveUtility(r=320.0, c1=7.0, c2=6.0))
+
+# capacities are not sums of grid nodes, so the scan's and the
+# reference's summation orders cannot disagree on a boundary point
+BRUTE_FORCE_CASES = {
+    "one-source": ([(1, 100.3)], [(1, (1,))], S_CURVES[:1], 12),
+    # link 1 cuts only the first source's axis; link 3 carries no source
+    "cut-first-axis": ([(1, 150.7), (2, 301.3), (3, 50.0)], [(1, (1, 2)), (2, (2,))],
+                       S_CURVES[:2], 10),
+    # identical curves tie at swapped points; the smaller first rate wins
+    "tie": ([(1, 300.1)], [(1, (1,)), (2, (1,))], S_CURVES[:1] * 2, 11),
+    "chain": ([(1, 330.7), (2, 290.3)], [(1, (1, 2)), (2, (1,)), (3, (2,))], S_CURVES, 9),
+}
+
+
+@pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
+def test_grid_matches_brute_force(case):
+    links, routes, utilities, n = BRUTE_FORCE_CASES[case]
+    net = build_network(links, routes)
+    spec = GridSpec(points_per_dim=n, refinement_passes=0)
+    res = grid_search(net, utilities, spec)
+    ref_x, ref_u = brute_force(net, utilities, n, spec.feas_tol)
+    assert res.x.tobytes() == ref_x.tobytes()
+    assert res.utility == pytest.approx(ref_u, rel=1e-12)
+    assert res.evaluations == n ** len(utilities)
 
 
 def test_grid_source_budget():

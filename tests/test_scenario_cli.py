@@ -104,6 +104,30 @@ def test_route_over_undeclared_link_rejected():
         parse_scenario(json.dumps(doc))
 
 
+NO_SOURCES = {"links": [{"id": 1, "capacity_kbps": 100.0}], "sources": []}
+
+
+def test_no_sources_rejected():
+    with pytest.raises(ScenarioValidationError, match="at least one source"):
+        parse_scenario(json.dumps(NO_SOURCES))
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--mode", "both"]],
+                         ids=["validate", "run"])
+def test_cli_rejects_no_sources(tmp_path, command):
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(NO_SOURCES))
+    src = str(Path(scpnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "scpnum.cli", *command, str(bad),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "at least one source" in proc.stderr
+
+
 def test_utility_invariants_surface_with_path():
     doc = json.loads(json.dumps(MINIMAL))
     doc["sources"][0]["c2"] = 0.5
