@@ -62,6 +62,7 @@ from .oracle import (
 )
 from .agents import (
     Message,
+    MessageLog,
     Agents,
     build_agents,
     run_round,

@@ -11,7 +11,8 @@ x̃_prev, x and rho and a mailbox of its route's prices in route order.
 Mailboxes are written only from the values of delivered messages. Each
 phase runs a kernel once over all agents; every output reads only its
 own agent's segment and the sums add each segment left to right, so
-the trace is bit-identical to ``engine.solve`` on the same inputs.
+the trace is bit-identical to ``engine.solve`` on the same inputs. The
+log (:class:`MessageLog`) keeps each phase as one block of value columns.
 
 The rounds are the step of the engine's driver loop
 (:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +42,7 @@ from .network import Network
 
 __all__ = [
     "Message",
+    "MessageLog",
     "Agents",
     "build_agents",
     "run_round",
@@ -72,6 +72,27 @@ class Message(NamedTuple):
     value_prev: float | None = None
 
 
+class MessageLog:
+    """Messages stored by column: one (round, kind, values, values_prev)
+    block per phase, its values float arrays of one entry per incidence
+    (``values_prev`` None for price updates). Blocks of a kind share
+    ``ends[kind]``, tuples of the network's sender and receiver ids in
+    emission order. Iterating yields :class:`Message` rows, one at a time.
+    """
+
+    def __init__(self, ends: dict, blocks: list):
+        self.ends, self.blocks = ends, blocks
+
+    def __len__(self) -> int:
+        return sum(len(block[2]) for block in self.blocks)
+
+    def __iter__(self):
+        for t, kind, values, values_prev in self.blocks:
+            prev = [None] * len(values) if values_prev is None else values_prev.tolist()
+            for row in zip(*self.ends[kind], values.tolist(), prev):
+                yield Message(t, kind, *row)
+
+
 @dataclass
 class Agents:
     """Every link and source agent, one array per field.
@@ -79,44 +100,25 @@ class Agents:
     ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x and
     rho per source. ``reports`` holds the report mailboxes, rows x̃ and
     x̃_prev, one column per incidence in link order; ``prices`` holds the
-    price mailboxes, one entry per incidence in route order.
-    ``link_id``/``source_id`` are the network's ids as Python ints.
+    price mailboxes, one entry per incidence in route order; ``ends``
+    holds the :class:`MessageLog` id columns.
     """
 
     model: Model
     state: IterateState
     reports: np.ndarray
     prices: np.ndarray
-    link_id: np.ndarray
-    source_id: np.ndarray
+    ends: dict
 
 
-def _boxed(values) -> np.ndarray:
-    """One Python float per agent, so that the rows an agent sends share it."""
-    return np.array(values.tolist(), dtype=object)
-
-
-def _rows(t: int, kind: str, senders, receivers, values, values_prev=None) -> list[Message]:
-    """Messages from object arrays of equal length, one per row."""
-    n = len(values)
-    prev = repeat(None, n) if values_prev is None else values_prev.tolist()
-    return list(map(Message, repeat(t, n), repeat(kind, n), senders.tolist(),
-                    receivers.tolist(), values.tolist(), prev))
-
-
-def _values(messages: list[Message], name: str = "value") -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), messages), dtype=float, count=len(messages))
-
-
-def _report(agents: Agents, t: int) -> list[Message]:
+def _report(agents: Agents, t: int) -> tuple:
     """Every source reports (x̃, x̃_prev) to each link on its route, in
     (source, link id) order; the barrier delivers the reports."""
     m, s = agents.model, agents.state
-    rows = _rows(t, RATE_REPORT, agents.source_id[m.route_src], agents.link_id[m.route_link],
-                 _boxed(s.x_tilde)[m.route_src], _boxed(s.x_tilde_prev)[m.route_src])
+    block = (t, RATE_REPORT, s.x_tilde[m.route_src], s.x_tilde_prev[m.route_src])
     # route-order row k lands in link-order column route[k]
-    agents.reports[:, m.route] = _values(rows), _values(rows, "value_prev")
-    return rows
+    agents.reports[:, m.route] = block[2:]
+    return block
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
@@ -124,18 +126,21 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     configured rates holding the initial prices of their routes, links
     hold the round-0 reports.
 
-    Returns (agents, round-0 seeding messages).
+    Returns (agents, round-0 seeding messages as a MessageLog).
     """
     model = Model(net, utilities)
     state = model.initial_state(config)
+    lid, sid = net.link_ids, net.source_ids
+    ends = {PRICE_UPDATE: (tuple(lid[i] for i in model.link.tolist()),
+                           tuple(sid[j] for j in model.src.tolist())),
+            RATE_REPORT: (tuple(sid[j] for j in model.route_src.tolist()),
+                          tuple(lid[i] for i in model.route_link.tolist()))}
     agents = Agents(model, state, reports=np.empty((2, len(model.link))),
-                    prices=state.mu[model.route_link],
-                    link_id=np.array(net.link_ids, dtype=object),
-                    source_id=np.array(net.source_ids, dtype=object))
-    return agents, _report(agents, 0)
+                    prices=state.mu[model.route_link], ends=ends)
+    return agents, MessageLog(ends, [_report(agents, 0)])
 
 
-def run_round(agents: Agents, t: int, config: SolverConfig) -> list[Message]:
+def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
     """One synchronous round: price phase, barrier, rate phase, barrier.
 
     Agents read only messages delivered at the preceding barrier.
@@ -149,25 +154,24 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> list[Message]:
     # phase A: every link prices against the tangent load of its reports
     ghat = sums(m.link, g_hat_terms(c.r[m.src], c.p[m.src], *agents.reports), m.n_links)
     mu = price_step(s.mu, config.gamma, m.capacities, ghat)
-    prices = _rows(t, PRICE_UPDATE, agents.link_id[m.link], agents.source_id[m.src],
-                   _boxed(mu)[m.link])
+    values = mu[m.link]
 
     # barrier: route-order slot k takes link-order row route[k]; the
     # prices held before delivery stay for lagged pricing
-    held, agents.prices = agents.prices, _values(prices)[m.route]
+    held, agents.prices = agents.prices, values[m.route]
 
     # phase B: every source sums its route's prices and updates its rate
     rho = sums(m.route_src, agents.prices if config.price_lag == "fresh" else held,
                m.n_sources)
     xt, x = rates(c, s.x_tilde, rho)
     agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x)
-    return prices + _report(agents, t)
+    return MessageLog(agents.ends, [(t, PRICE_UPDATE, values, None), _report(agents, t)])
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):
     """The engine's driver loop with one message round as its step.
 
-    Returns (AllocationResult, message log). The result, including the
+    Returns (AllocationResult, MessageLog). The result, including the
     per-round trace, matches ``engine.solve`` exactly.
     """
     if config is None:
@@ -175,11 +179,10 @@ def run_to_convergence(net: Network, utilities, config: SolverConfig | None = No
     agents, log = build_agents(net, utilities, config)
 
     def step(state: IterateState) -> IterateState:
-        log.extend(run_round(agents, state.t + 1, config))
+        log.blocks += run_round(agents, state.t + 1, config).blocks
         return agents.state
 
-    result = iterate(agents.model, config, step)
-    return result, tuple(log)
+    return iterate(agents.model, config, step), log
 
 
 def export_messages(messages, path) -> None:

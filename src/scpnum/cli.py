@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import audit_locality, export_messages, run_to_convergence
+from .agents import MessageLog, audit_locality, export_messages, run_to_convergence
 from .engine import (
     AllocationResult,
     SolverConfig,
@@ -148,19 +148,17 @@ def _trace_deviation(trace_a, trace_b):
 
 
 def write_equivalence(path: Path, net: Network, res_e: AllocationResult,
-                      res_a: AllocationResult, messages) -> float:
-    nnz = sum(len(route) for route in net.routes)
-    rounds = res_a.iterations
-    per_round = sum(1 for m in messages if m.round == 1)
+                      res_a: AllocationResult, messages: MessageLog) -> float:
+    per_round = sum(len(values) for t, _, values, _ in messages.blocks if t == 1)
     violations = audit_locality(net, messages)
     dev = (_trace_deviation(res_e.trace, res_a.trace)
            if res_e.iterations == res_a.iterations else float("inf"))
     lines = [
         f"engine iterations: {res_e.iterations}",
-        f"agents rounds: {rounds}",
+        f"agents rounds: {res_a.iterations}",
         f"trace rows compared: {min(len(res_e.trace), len(res_a.trace))}",
         f"max relative trace deviation (x, mu, g, ghat): {dev:.3e}",
-        f"messages in round 1: {per_round}  (2 * nnz(R) = {2 * nnz})",
+        f"messages in round 1: {per_round}  (2 * nnz(R) = {2 * net.nnz})",
         f"total messages: {len(messages)}",
         f"locality violations: {len(violations)}",
         f"equivalent (tol {TRACE_TOL:g}): {str(dev <= TRACE_TOL).lower()}",

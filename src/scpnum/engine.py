@@ -202,10 +202,6 @@ class Curves(NamedTuple):
         return cls(r, c1, c2, 1.0 / c2, m, big_m, transformed(r, c2, m),
                    transformed(r, c2, big_m), log_k)
 
-    def at(self, j: int) -> "Curves":
-        """Source j's constants as length-1 slices."""
-        return Curves._make(a[j:j + 1] for a in self)
-
 
 def transformed(r, c2, x):
     """y = (x/r)**c2 elementwise."""

@@ -3,6 +3,7 @@ accounting, and locality."""
 
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from scpnum import (
     build_agents,
     build_network,
     export_messages,
+    inflection_point,
     load_scenario,
     run_round,
     run_to_convergence,
@@ -198,3 +200,26 @@ def test_export_messages_round_trips(tmp_path):
             assert row["value_prev"] == ""
         else:
             assert float(row["value_prev"]) == msg.value_prev
+
+
+def test_message_log_memory_is_bounded():
+    # 250 sources over 4 of 20 links each (nnz = 1000), capacity 1.6x
+    # the knee sum, started above the knee: 20 rounds of 2000 messages,
+    # and the log alone may keep at most 32 B of each
+    n_links, n_sources = 20, 250
+    u = SCurveUtility(r=256.0, c1=6.0, c2=4.0)
+    net = build_network([(lid, 1.6 * 50 * inflection_point(u)) for lid in range(1, n_links + 1)],
+                        [(sid, tuple((sid + k) % n_links + 1 for k in range(4)))
+                         for sid in range(1, n_sources + 1)])
+    config = SolverConfig(gamma=3e-7, epsilon=1e-3, max_iter=20, mu0=1e-5,
+                          x0=(180.0,) * n_sources)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res, log = run_to_convergence(net, (u,) * n_sources, config)
+        del res
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == net.nnz * (2 * config.max_iter + 1) == 41000
+    assert retained <= 32 * len(log), f"{retained / len(log):.1f} B per message"

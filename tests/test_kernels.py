@@ -90,7 +90,8 @@ def test_rate_and_load_kernels_are_slice_invariant():
     full_g = g_terms(c.r, c.p, xt)
     full_gh = g_hat_terms(c.r, c.p, xt, xp)
     for j in range(n):
-        cj, s = c.at(j), slice(j, j + 1)
+        s = slice(j, j + 1)
+        cj = Curves._make(a[s] for a in c)
         xt_j, x_j = rates(cj, xt[s], rho[s])
         assert xt_j[0] == full_rates[0][j] and x_j[0] == full_rates[1][j], j
         assert g_terms(cj.r, cj.p, xt[s])[0] == full_g[j], j
