@@ -202,9 +202,21 @@ def audit_locality(net: Network, messages) -> list[Message]:
     """Messages that cross a link/source pair absent from the routing.
 
     Empty list means every price went to a routed source and every
-    report came from a routed source.
+    report came from a routed source. Takes a :class:`MessageLog` or
+    any iterable of :class:`Message`. Every block of a log shares its
+    kind's id columns, so a log's columns are checked once, in O(nnz),
+    and only the failing ones are expanded into rows, in emission order.
     """
     routed = {(lid, sid) for lid, on in zip(net.link_ids, net.sources_on_link) for sid in on}
-    return [m for m in messages
-            if not (m.kind == PRICE_UPDATE and (m.sender, m.receiver) in routed
-                    or m.kind == RATE_REPORT and (m.receiver, m.sender) in routed)]
+
+    def local(kind, sender, receiver) -> bool:
+        return (kind == PRICE_UPDATE and (sender, receiver) in routed
+                or kind == RATE_REPORT and (receiver, sender) in routed)
+
+    if not isinstance(messages, MessageLog):
+        return [m for m in messages if not local(m.kind, m.sender, m.receiver)]
+    stray = {kind: [k for k, pair in enumerate(zip(*ends)) if not local(kind, *pair)]
+             for kind, ends in messages.ends.items()}
+    return [Message(t, kind, messages.ends[kind][0][k], messages.ends[kind][1][k],
+                    float(values[k]), None if values_prev is None else float(values_prev[k]))
+            for t, kind, values, values_prev in messages.blocks for k in stray[kind]]

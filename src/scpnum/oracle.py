@@ -10,8 +10,10 @@ convexity.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -112,42 +114,89 @@ def perturbation_seed() -> int:
     return int(raw) if raw else DEFAULT_PERTURBATION_SEED
 
 
+def _all(masks):
+    """Elementwise AND of an iterable of broadcastable boolean arrays."""
+    return reduce(operator.and_, masks)
+
+
 def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
     """Scan one grid; returns (best_x, best_u) carrying the incumbent forward.
 
-    The first axis is looped in Python and the remaining axes are
-    broadcast, which keeps memory at points**(S-1) while the first-found
-    argmax (C order) realizes the lexicographic tie-break. Every tail sum
-    starts from a 0-d zero, so a link that no tail source crosses gives a
-    0-d mask and a single source gives a 0-d utility with an empty tail
-    index; ``build_network`` guarantees S >= 1 and L >= 1.
+    The first axis is scanned slice by slice and the remaining axes are
+    broadcast, which keeps memory at points**(S-1). Every tail sum
+    starts from a 0-d zero and runs in source order, so a link that no
+    tail source crosses gives a 0-d mask and a single source gives a
+    0-d utility with an empty tail index. ``build_network`` guarantees
+    S >= 1, L >= 1 and a link on every route, so a slice's feasibility
+    mask spans every tail axis. Within a slice the first-found argmax
+    (C order) wins.
+
+    Bound: slice x0 gets U0(x0) + sum_j max U_j, where the max for tail
+    source j runs over its grid values that pass every link mask while
+    the other tail sources sit at their lowest grid value (-inf if none
+    passes). It is built from the scan's own arrays and summed in the
+    scan's order. Grids ascend and float addition is monotone, so every
+    feasible point of the slice passes those masks and none exceeds the
+    bound.
+
+    Visit order: slices in descending bound, ties by slice index; the
+    scan stops at the first bound below the incumbent, or at -inf.
+
+    Tie rule: a slice's candidate replaces the incumbent if it is
+    larger, or if it is equal and the incumbent came from a later slice
+    of this pass; an incoming incumbent is kept on a tie. The result is
+    that of scanning every slice in index order: the lexicographically
+    first best point, or the incoming incumbent if none beats it.
     """
     axes = np.meshgrid(*grids[1:], indexing="ij", sparse=True)
     zero = np.zeros(())
-    util_tail = sum((eval_scurve(u, g).reshape(ax.shape)
-                     for u, g, ax in zip(utilities[1:], grids[1:], axes)), zero)
     # per link: whether source 1 crosses it, the load of sources 2..S, the capacity
     link_tails = [(net.source_ids[0] in on,
                    sum((ax for sid, ax in zip(net.source_ids[1:], axes) if sid in on), zero),
                    cap)
                   for on, cap in zip(net.sources_on_link, net.capacities)]
 
+    tail_shape = tuple(len(g) for g in grids[1:])
+
+    def fits(x0, at=None):
+        """Whether every link holds with the first source at x0 and the
+        tail sources on the whole tail grid, or on its nodes ``at``."""
+        return _all((x0 if first else 0.0)
+                    + (tail if at is None else np.broadcast_to(tail, tail_shape)[at])
+                    <= cap + feas_tol
+                    for first, tail, cap in link_tails)
+
+    def line(a):
+        """Tail source a's nodes, every other tail source at its lowest."""
+        return tuple(slice(None) if b == a else 0 for b in range(len(tail_shape)))
+
+    # slice bounds; the corner (every tail source at its lowest) must fit
+    first_u = [eval_scurve(utilities[0], x0) for x0 in grids[0]]
+    tail_u = [eval_scurve(u, g) for u, g in zip(utilities[1:], grids[1:])]
+    tail_max = [np.where(fits(grids[0][:, None], line(a)), v, -np.inf).max(axis=-1)
+                for a, v in enumerate(tail_u)]
+    bound = np.where(fits(grids[0], (0,) * len(tail_shape)),
+                     np.array(first_u) + sum(tail_max, zero), -np.inf)
+
+    util_tail = sum((v.reshape(ax.shape) for v, ax in zip(tail_u, axes)), zero)
+    u_here = np.empty_like(util_tail)  # one slice's utilities, reused by every slice
     best_x, best_u = incumbent
-    for x0 in grids[0]:
-        u_here = eval_scurve(utilities[0], x0) + util_tail
-        masks = ((x0 if first else 0.0) + tail <= cap + feas_tol for first, tail, cap in link_tails)
-        feas = next(masks)
-        for mask in masks:
-            feas = feas & mask
+    best_i = -1  # slice of this pass that holds the incumbent; -1 keeps an incoming one on ties
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] == -np.inf or best_u is not None and bound[i] < best_u:
+            break
+        x0 = grids[0][i]
+        feas = fits(x0)
         if not feas.any():
             continue
-        u_here = np.where(feas, u_here, -np.inf)
+        np.add(first_u[i], util_tail, out=u_here)
+        u_here[~feas] = -np.inf
         flat = int(np.argmax(u_here))
         cand_u = float(u_here.flat[flat])
-        if best_u is None or cand_u > best_u:
+        if best_u is None or cand_u > best_u or cand_u == best_u and i < best_i:
             idx = np.unravel_index(flat, u_here.shape)
-            best_x = np.array([x0, *(g[i] for g, i in zip(grids[1:], idx))])
-            best_u = cand_u
+            best_x = np.array([x0, *(g[k] for g, k in zip(grids[1:], idx))])
+            best_u, best_i = cand_u, i
     return best_x, best_u
 
 
@@ -156,7 +205,17 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
 
     Enumerates Π[m_s, M_s] at points_per_dim nodes per source, keeps the
     best feasible point, then re-grids successively smaller boxes around
-    it. Ties break toward the lexicographically smallest rate vector.
+    it. Ties break toward the lexicographically smallest rate vector,
+    and a refinement pass keeps the incumbent unless it finds a strictly
+    better point.
+
+    Each pass visits the first source's grid values in descending order
+    of a slice bound (the first source's utility plus each other
+    source's best utility on its own, with the others at their lowest
+    rate) and skips the slices whose bound is below the incumbent; see
+    ``_best_on_grid`` for the bound, the visit order and the tie rule.
+    ``evaluations`` still counts points_per_dim**S points per pass: each
+    point is certified either by the scan or by its slice's bound.
 
     Raises
     ------
@@ -213,6 +272,14 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     to the rate windows, discards infeasible points, and reports whether
     any survivor improves aggregate utility by more than improvement_tol.
 
+    All samples are drawn by one ``rng.uniform`` call of shape
+    (samples, S), which is the stream of one call per sample. Rate
+    windows and link loads are checked, and utilities summed, one source
+    column at a time in ascending source id order, the order of
+    ``is_feasible`` and ``total_utility``, so the report equals a
+    sample-by-sample loop's. The best point is the first sample with
+    the largest positive gain.
+
     Raises
     ------
     InfeasibleCandidateError
@@ -228,20 +295,20 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     base_u = total_utility(utilities, x_star)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    best_gain = 0.0
-    best_point = None
-    n_feasible = 0
-    for _ in range(samples):
-        cand = np.clip(x_star + rng.uniform(-radius, radius, size=x_star.shape), lo, hi)
-        if not is_feasible(net, cand, bounds, feas_tol).ok:
-            continue
-        n_feasible += 1
-        gain = total_utility(utilities, cand) - base_u
-        if gain > best_gain:
-            best_gain = gain
-            best_point = cand
+    cand = np.clip(x_star + rng.uniform(-radius, radius, size=(samples, x_star.size)), lo, hi)
+    cols = np.ascontiguousarray(cand.T)  # one row of samples per source
+    ok = ((cols >= lo[:, None] - feas_tol) & (cols <= hi[:, None] + feas_tol)).all(axis=0)
+    for on, cap in zip(net.sources_on_link, net.capacities):
+        ok &= sum((cols[net.source_index[sid]] for sid in on), 0.0) <= cap + feas_tol
+    gains = sum((eval_scurve(u, c) for u, c in zip(utilities, cols)), 0.0) - base_u
+    feasible = np.flatnonzero(ok)
+    best_gain, best_point = 0.0, None
+    if feasible.size:
+        k = feasible[np.argmax(gains[feasible])]
+        if gains[k] > 0.0:
+            best_gain, best_point = float(gains[k]), cand[k].copy()
     return LocalOptReport(passed=best_gain <= improvement_tol,
-                          samples_feasible=n_feasible,
+                          samples_feasible=int(feasible.size),
                           best_gain=best_gain, best_point=best_point)
 
 

@@ -134,9 +134,19 @@ def _require(doc: dict, key: str, types, path: str):
 
 
 def _number(val, path: str) -> float:
+    """The one conversion of a numeric field to float."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ScenarioValidationError(path, f"expected number, got {type(val).__name__}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioValidationError(path, "integer too large for a float") from None
+
+
+def _required_number(doc: dict, key: str, path: str) -> float:
+    if key not in doc:
+        raise ScenarioValidationError(f"{path}.{key}", "missing required field")
+    return _number(doc[key], f"{path}.{key}")
 
 
 def _optional_number(doc: dict, key: str, path: str, default=None):
@@ -160,7 +170,7 @@ def _model_from_doc(doc: dict):
         if not isinstance(entry, dict):
             raise ScenarioValidationError(path, "expected object")
         lid = _require(entry, "id", int, path)
-        cap = float(_require(entry, "capacity_kbps", (int, float), path))
+        cap = _required_number(entry, "capacity_kbps", path)
         for key in entry:
             if key not in ("id", "capacity_kbps"):
                 raise ScenarioValidationError(f"{path}.{key}", "unknown field")
@@ -174,9 +184,9 @@ def _model_from_doc(doc: dict):
         if not isinstance(entry, dict):
             raise ScenarioValidationError(path, "expected object")
         sid = _require(entry, "id", int, path)
-        r = float(_require(entry, "r_kbps", (int, float), path))
-        c1 = float(_require(entry, "c1", (int, float), path))
-        c2 = float(_require(entry, "c2", (int, float), path))
+        r = _required_number(entry, "r_kbps", path)
+        c1 = _required_number(entry, "c1", path)
+        c2 = _required_number(entry, "c2", path)
         m = _optional_number(entry, "m_kbps", path, 1.0)
         big_m = _optional_number(entry, "big_m_kbps", path, None)
         route = _require(entry, "route", list, path)
@@ -221,10 +231,8 @@ def _model_from_doc(doc: dict):
                 raise ScenarioValidationError(
                     f"{spath}.mu0", f"expected {net.n_links} entries, got {len(val)}")
             kwargs["mu0"] = tuple(_number(v, f"{spath}.mu0[{i}]") for i, v in enumerate(val))
-        elif isinstance(val, (int, float)) and not isinstance(val, bool):
-            kwargs["mu0"] = float(val)
         else:
-            raise ScenarioValidationError(f"{spath}.mu0", "expected number or list")
+            kwargs["mu0"] = _number(val, f"{spath}.mu0")
     if "x0" in solver_doc:
         val = solver_doc["x0"]
         if not isinstance(val, list) or len(val) != net.n_sources:

@@ -168,6 +168,19 @@ def test_locality_audit_flags_unrouted_pairs():
     assert audit_locality(net, [bogus_kind]) == [bogus_kind]
 
 
+def test_locality_audit_of_a_log_matches_the_row_by_row_audit():
+    net, utilities, config = load_scenario("chain-3")
+    _, log = run_to_convergence(net, utilities, config)
+    # redirect one report column to link 3, which source 2 never crosses
+    senders, receivers = log.ends[RATE_REPORT]
+    k = senders.index(2)
+    log.ends[RATE_REPORT] = (senders, receivers[:k] + (3,) + receivers[k + 1:])
+    stray = audit_locality(net, log)
+    assert stray == audit_locality(net, iter(log))
+    assert len(stray) == sum(kind == RATE_REPORT for _, kind, _, _ in log.blocks)
+    assert {(m.sender, m.receiver) for m in stray} == {(2, 3)}
+
+
 def test_huge_tolerance_stops_after_first_round():
     # a source already saturated on an uncongested link is a fixed
     # point, so the loosest possible tolerance stops in one round

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scpnum import (
+    BUILT_IN_SCENARIOS,
     BudgetExceededError,
     DEFAULT_PERTURBATION_SEED,
     DomainBoundaryError,
@@ -18,8 +19,11 @@ from scpnum import (
     fd_gradient_check,
     grid_search,
     is_feasible,
+    load_scenario,
     local_opt_test,
     perturbation_seed,
+    polish,
+    solve,
     total_utility,
 )
 
@@ -81,48 +85,96 @@ def test_grid_no_feasible_point():
         grid_search(net, utilities, GridSpec())
 
 
-def brute_force(net, utilities, n, feas_tol):
-    """Every grid point in lexicographic order; the first strictly best
-    feasible one wins."""
-    grids = [np.linspace(u.m, u.big_m, n) for u in utilities]
+def brute_force(net, utilities, spec):
+    """The grid search as a point-by-point walk: every pass visits every
+    grid point in lexicographic order, and only a strictly better
+    feasible point replaces the incumbent."""
+    lows = np.array([u.m for u in utilities])
+    widths = np.array([u.big_m for u in utilities]) - lows
     bounds = [(u.m, u.big_m) for u in utilities]
     best_x, best_u = None, -np.inf
-    for point in itertools.product(*grids):
-        x = np.array(point)
-        if is_feasible(net, x, bounds, feas_tol).ok:
-            u = total_utility(utilities, x)
-            if u > best_u:
-                best_x, best_u = x, u
+    for _ in range(spec.refinement_passes + 1):
+        grids = [np.linspace(lo, lo + w, spec.points_per_dim) for lo, w in zip(lows, widths)]
+        for point in itertools.product(*grids):
+            x = np.array(point)
+            if is_feasible(net, x, bounds, spec.feas_tol).ok:
+                u = total_utility(utilities, x)
+                if u > best_u:
+                    best_x, best_u = x, u
+        widths = widths / 4.0
+        lows = np.array([min(max(u.m, bx - w / 2.0), u.big_m - w)
+                         for u, bx, w in zip(utilities, best_x, widths)])
     return best_x, best_u
 
 
 S_CURVES = (SCurveUtility(r=256.0, c1=6.0, c2=2.0),
             SCurveUtility(r=192.0, c1=5.0, c2=4.0),
             SCurveUtility(r=320.0, c1=7.0, c2=6.0))
+# exp(-40 x/128) is lost next to 1 above x = 119.8 Kbps, so every rate
+# above that has the same utility
+PLATEAU = SCurveUtility(r=128.0, c1=40.0, c2=1.0)
 
+# (links, routes, utilities, points per dim, refinement passes); the
 # capacities are not sums of grid nodes, so the scan's and the
 # reference's summation orders cannot disagree on a boundary point
 BRUTE_FORCE_CASES = {
-    "one-source": ([(1, 100.3)], [(1, (1,))], S_CURVES[:1], 12),
+    "one-source": ([(1, 100.3)], [(1, (1,))], S_CURVES[:1], 12, 0),
     # link 1 cuts only the first source's axis; link 3 carries no source
     "cut-first-axis": ([(1, 150.7), (2, 301.3), (3, 50.0)], [(1, (1, 2)), (2, (2,))],
-                       S_CURVES[:2], 10),
+                       S_CURVES[:2], 10, 0),
     # identical curves tie at swapped points; the smaller first rate wins
-    "tie": ([(1, 300.1)], [(1, (1,)), (2, (1,))], S_CURVES[:1] * 2, 11),
-    "chain": ([(1, 330.7), (2, 290.3)], [(1, (1, 2)), (2, (1,)), (3, (2,))], S_CURVES, 9),
+    "tie": ([(1, 300.1)], [(1, (1,)), (2, (1,))], S_CURVES[:1] * 2, 11, 0),
+    "chain": ([(1, 330.7), (2, 290.3)], [(1, (1, 2)), (2, (1,)), (3, (2,))], S_CURVES, 9, 0),
+    # chain-3's shape: each tail source has a link of its own, so the
+    # slice bound is tight and one slice per pass is scanned
+    "independent-tails": ([(1, 420.3), (2, 450.7), (3, 400.1)],
+                          [(1, (1, 2, 3)), (2, (1,)), (3, (2,)), (4, (3,))],
+                          tuple(SCurveUtility(r=256.0, c1=6.0, c2=c2)
+                                for c2 in (4.0, 2.0, 6.0, 8.0)),
+                          7, 2),
+    # slices 3 and 4 reach the same utility, but slice 4 has the higher
+    # bound and is scanned first; slice 3, whose bound equals that
+    # utility, must still be scanned and win the tie
+    "tie-scanned-late": ([(1, 699.8)], [(1, (1,)), (2, (1,)), (3, (1,))],
+                         S_CURVES[:1] * 2 + S_CURVES[1:2], 5, 0),
+    # the first pass ends on the plateau at 128 Kbps; the refined grid
+    # reaches the plateau at lower rates, which tie and must not win
+    "refinement-tie": ([(1, 300.3)], [(1, (1,))], (PLATEAU,), 12, 2),
 }
 
 
 @pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
 def test_grid_matches_brute_force(case):
-    links, routes, utilities, n = BRUTE_FORCE_CASES[case]
+    links, routes, utilities, n, passes = BRUTE_FORCE_CASES[case]
     net = build_network(links, routes)
-    spec = GridSpec(points_per_dim=n, refinement_passes=0)
+    spec = GridSpec(points_per_dim=n, refinement_passes=passes)
     res = grid_search(net, utilities, spec)
-    ref_x, ref_u = brute_force(net, utilities, n, spec.feas_tol)
+    ref_x, ref_u = brute_force(net, utilities, spec)
     assert res.x.tobytes() == ref_x.tobytes()
     assert res.utility == pytest.approx(ref_u, rel=1e-12)
-    assert res.evaluations == n ** len(utilities)
+    assert res.evaluations == (passes + 1) * n ** len(utilities)
+
+
+# the results of scanning every slice in index order, which the pruned
+# scan must reproduce bit for bit
+PINNED_GRID = {
+    "chain-3": (["0x1.59cb6db6db6dbp+7", "0x1.ee09e79e79e7ap+7", "0x1.0000000000000p+8",
+                 "0x1.c611861861861p+7"], "3.6150966479831057", 3 * 64 ** 4),
+    "single-source": (["0x1.8f26186186186p+6"], "0.599619693553651", 3 * 64),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_GRID)
+def test_grid_result_is_pinned(name):
+    x_hex, utility, evaluations = PINNED_GRID[name]
+    net, utilities, _ = load_scenario(name)
+    res = grid_search(net, utilities, GridSpec())
+    assert res.x.dtype == np.float64 and res.x.shape == (len(x_hex),)
+    assert [float.hex(v) for v in res.x.tolist()] == x_hex
+    assert repr(res.utility) == utility
+    assert res.evaluations == evaluations
+    assert repr(res.resolution) == "0.25297619047619047"
+    assert res.feasible
 
 
 def test_grid_source_budget():
@@ -177,6 +229,46 @@ def test_local_opt_deterministic_per_seed():
     b = local_opt_test(net, utilities, np.array([200.0]), seed=99)
     assert a.best_gain == b.best_gain
     assert a.samples_feasible == b.samples_feasible
+
+
+def local_opt_loop(net, utilities, x_star, seed, radius=2.0, samples=1000,
+                   feas_tol=1e-6, improvement_tol=1e-9):
+    """local_opt_test one sample at a time: draw, clip, check with
+    is_feasible, sum with total_utility; the first strictly best gain wins."""
+    bounds = [(u.m, u.big_m) for u in utilities]
+    lo, hi = np.array(bounds).T
+    rng = np.random.default_rng(seed)
+    base_u = total_utility(utilities, x_star)
+    best_gain, best_point, n_feasible = 0.0, None, 0
+    for _ in range(samples):
+        cand = np.clip(x_star + rng.uniform(-radius, radius, size=x_star.shape), lo, hi)
+        if not is_feasible(net, cand, bounds, feas_tol).ok:
+            continue
+        n_feasible += 1
+        gain = total_utility(utilities, cand) - base_u
+        if gain > best_gain:
+            best_gain, best_point = gain, cand
+    return best_gain <= improvement_tol, n_feasible, best_gain, best_point
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_SCENARIOS))
+@pytest.mark.parametrize("shift", [0.0, 3.0], ids=["polished", "improvable"])
+def test_local_opt_matches_sample_loop(name, shift):
+    net, utilities, config = load_scenario(name)
+    polished = polish(net, utilities, solve(net, utilities, config), config)
+    x = np.maximum(polished.x - shift, [u.m for u in utilities])
+    report = local_opt_test(net, utilities, x, seed=DEFAULT_PERTURBATION_SEED)
+    passed, n_feasible, best_gain, best_point = local_opt_loop(
+        net, utilities, x, DEFAULT_PERTURBATION_SEED)
+    assert report.passed == passed
+    assert report.samples_feasible == n_feasible
+    assert repr(report.best_gain) == repr(best_gain)
+    if best_point is None:
+        assert report.best_point is None
+    else:
+        assert report.best_point.tobytes() == best_point.tobytes()
+    # the polished optimum passes; 3 Kbps below it every source can gain
+    assert passed == (shift == 0.0)
 
 
 def test_perturbation_seed_env_override(monkeypatch):

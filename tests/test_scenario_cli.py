@@ -215,6 +215,24 @@ def test_cli_run_rejects_non_number_list_entry(tmp_path, key, value):
     assert f"solver.{key}[0]" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("section,key", [("links", "capacity_kbps"), ("sources", "c1")])
+def test_cli_rejects_integer_too_large_for_a_float(tmp_path, command, section, key):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[section][0][key] = 10 ** 400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(scpnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "scpnum.cli", command, str(bad),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{section}[0].{key}: integer too large for a float" in proc.stderr
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ScenarioValidationError):
         load_scenario("no-such-scenario")
