@@ -14,16 +14,23 @@ own agent's segment and the sums add each segment left to right, so
 the trace is bit-identical to ``engine.solve`` on the same inputs. The
 log (:class:`MessageLog`) keeps each phase as one block of value columns.
 
+Links sum their loads when the reports are delivered: the true load g
+and the tangent load ĝ of x̃ expanded at x̃_prev. What a link keeps of
+its mailbox is those two sums and each incidence's x̃**p, the first
+term of the next round's tangent; it prices against the stored ĝ in the
+next round.
+
 The rounds are the step of the engine's driver loop
 (:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
 plus steady-state feasibility) needs a view no single agent has; the
-driver evaluates it between rounds, outside the message protocol.
+driver evaluates it between rounds, outside the message protocol. That
+monitor reads the links' load sums; it evaluates no kernel of its own.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -97,47 +104,64 @@ class MessageLog:
 class Agents:
     """Every link and source agent, one array per field.
 
-    ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x and
-    rho per source. ``reports`` holds the report mailboxes, rows x̃ and
-    x̃_prev, one column per incidence in link order; ``prices`` holds the
-    price mailboxes, one entry per incidence in route order; ``ends``
-    holds the :class:`MessageLog` id columns.
+    ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x, rho
+    and x̃**p per source; and per link the loads g and ĝ its agent summed
+    from the last delivered reports. ``r`` and ``p`` are each
+    incidence's source constants in link order, and ``w`` is the report
+    mailbox: x̃**p of each incidence's last delivered report, in link
+    order (None before the first delivery). ``prices`` holds the price mailboxes, one entry per incidence
+    in route order; ``delivery`` is the inverse of the model's
+    ``route``, which takes route order to link order; ``ends`` holds the
+    :class:`MessageLog` id columns.
     """
 
     model: Model
     state: IterateState
-    reports: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    w: np.ndarray | None
     prices: np.ndarray
+    delivery: np.ndarray
     ends: dict
 
 
-def _report(agents: Agents, t: int) -> tuple:
+def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
     """Every source reports (x̃, x̃_prev) to each link on its route, in
-    (source, link id) order; the barrier delivers the reports."""
-    m, s = agents.model, agents.state
-    block = (t, RATE_REPORT, s.x_tilde[m.route_src], s.x_tilde_prev[m.route_src])
-    # route-order row k lands in link-order column route[k]
-    agents.reports[:, m.route] = block[2:]
-    return block
+    (source, link id) order; the barrier delivers the reports and each
+    link sums its true and tangent loads from them. Returns the block
+    of reports and the links' loads (g, ĝ)."""
+    m = agents.model
+    block = (t, RATE_REPORT, x_tilde[m.route_src], x_tilde_prev[m.route_src])
+    # link-order slot k takes route-order report delivery[k]
+    xt, xt_prev = block[2][agents.delivery], block[3][agents.delivery]
+    w = np.power(xt, agents.p)
+    g = sums(m.link, agents.r * w, m.n_links)
+    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, xt_prev, agents.w), m.n_links)
+    agents.w = w
+    return block, g, ghat
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
     """All agents of a model, already consistent: sources start at the
     configured rates holding the initial prices of their routes, links
-    hold the round-0 reports.
+    hold the loads of the round-0 reports.
 
     Returns (agents, round-0 seeding messages as a MessageLog).
     """
     model = Model(net, utilities)
     state = model.initial_state(config)
-    lid, sid = net.link_ids, net.source_ids
-    ends = {PRICE_UPDATE: (tuple(lid[i] for i in model.link.tolist()),
-                           tuple(sid[j] for j in model.src.tolist())),
-            RATE_REPORT: (tuple(sid[j] for j in model.route_src.tolist()),
-                          tuple(lid[i] for i in model.route_link.tolist()))}
-    agents = Agents(model, state, reports=np.empty((2, len(model.link))),
-                    prices=state.mu[model.route_link], ends=ends)
-    return agents, MessageLog(ends, [_report(agents, 0)])
+    lid, sid = np.array(net.link_ids, dtype=object), np.array(net.source_ids, dtype=object)
+    ends = {PRICE_UPDATE: (tuple(lid[model.link].tolist()), tuple(sid[model.src].tolist())),
+            RATE_REPORT: (tuple(sid[model.route_src].tolist()),
+                          tuple(lid[model.route_link].tolist()))}
+    delivery = np.empty_like(model.route)
+    delivery[model.route] = np.arange(len(model.route))
+    c = model.curves
+    agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src], w=None,
+                    prices=state.mu[model.route_link], delivery=delivery, ends=ends)
+    block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
+    agents.state = replace(state, g=g, g_hat=ghat)
+    return agents, MessageLog(ends, [block])
 
 
 def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
@@ -149,11 +173,9 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
     order.
     """
     m, s = agents.model, agents.state
-    c = m.curves
 
     # phase A: every link prices against the tangent load of its reports
-    ghat = sums(m.link, g_hat_terms(c.r[m.src], c.p[m.src], *agents.reports), m.n_links)
-    mu = price_step(s.mu, config.gamma, m.capacities, ghat)
+    mu = price_step(s.mu, config.gamma, m.capacities, s.g_hat)
     values = mu[m.link]
 
     # barrier: route-order slot k takes link-order row route[k]; the
@@ -163,9 +185,10 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
     # phase B: every source sums its route's prices and updates its rate
     rho = sums(m.route_src, agents.prices if config.price_lag == "fresh" else held,
                m.n_sources)
-    xt, x = rates(c, s.x_tilde, rho)
-    agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x)
-    return MessageLog(agents.ends, [(t, PRICE_UPDATE, values, None), _report(agents, t)])
+    xt, x, w = rates(m.curves, s.x_tilde, rho)
+    block, g, ghat = _report(agents, t, xt, s.x_tilde)
+    agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x, g, ghat, w)
+    return MessageLog(agents.ends, [(t, PRICE_UPDATE, values, None), block])
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):
@@ -182,7 +205,7 @@ def run_to_convergence(net: Network, utilities, config: SolverConfig | None = No
         log.blocks += run_round(agents, state.t + 1, config).blocks
         return agents.state
 
-    return iterate(agents.model, config, step), log
+    return iterate(agents.model, agents.state, config, step), log
 
 
 def export_messages(messages, path) -> None:

@@ -96,6 +96,7 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
         f"mode: {mode}",
         f"price_lag: {config.price_lag}",
         f"converged: {str(res.converged).lower()}",
+        f"stop_reason: {res.stop_reason}",
         f"iterations: {res.iterations}",
         f"runtime_s: {runtime:.3f}",
         f"aggregate_utility: {util:.10f}",
@@ -200,7 +201,7 @@ def cmd_run(args) -> int:
     feasible = _feasible(net, utilities, res, config.feas_tol)
     status = "converged" if res.converged else "NOT converged"
     print(f"{args.scenario} [{args.mode}]: {status} after {res.iterations} iterations, "
-          f"feasible={feasible}, outputs in {out}")
+          f"stop_reason={res.stop_reason}, feasible={feasible}, outputs in {out}")
     if not res.converged:
         print(f"error: stopping criterion not met within {config.max_iter} iterations",
               file=sys.stderr)

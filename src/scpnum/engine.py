@@ -20,9 +20,17 @@ operand a 1-d array (numpy takes other paths for 0-d operands and some
 scalar exponents), the kernels give identical bits on a length-1 slice
 and on the full array.
 
+The iterate carries its own loads. The rate step computes
+w = x̃**p for the new rates once; r*w is both the rate in Kbps (before
+clipping) and the per-source true-load term, and w is the first term of
+the next iteration's tangent, expanded at this x̃. Each iteration
+therefore evaluates one power for the new rates and one for the
+tangent's slope, and the per-link g and ĝ it sums are the trace row, the
+steady test and the next price step's input alike.
+
 :func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
-schedulers over one driver loop, :func:`iterate`, which owns the initial
-state, the stopping test, the trace and the result. The engine steps all
+schedulers over one driver loop, :func:`iterate`, which owns the
+stopping test, the trace and the result. The engine steps all
 sources at once, the agents run one message round in which each link
 and source is its own segment of the incidence list, and the two traces
 are bitwise-identical.
@@ -32,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +149,13 @@ class SolverConfig:
 class IterateState:
     """One iterate of the price/rate loop. Arrays align with the
     network's ascending source and link id orders; rho holds the path
-    prices the rate step that produced x actually saw."""
+    prices the rate step that produced x actually saw.
+
+    The iterate carries its loads: g and g_hat are the per-link true and
+    tangent loads at (x_tilde, x_tilde_prev), and w = x_tilde**p per
+    source is the first term of the next tangent. The schedulers fill
+    them in; a state built by hand may leave them None.
+    """
 
     t: int
     x_tilde: np.ndarray
@@ -147,6 +163,9 @@ class IterateState:
     mu: np.ndarray
     rho: np.ndarray
     x: np.ndarray
+    g: np.ndarray | None = None
+    g_hat: np.ndarray | None = None
+    w: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -165,7 +184,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """A finished run. stop_reason is 'converged', 'collapsed' or
+    'max_iter'. 'collapsed' is a converged run that left a source at the
+    bottom of its rate window while a link on its route has slack above
+    feas_tol, the signature of the collapse below the knee; 'max_iter'
+    is a run that did not converge."""
+
     converged: bool
+    stop_reason: str
     iterations: int
     x: np.ndarray
     x_tilde: np.ndarray
@@ -196,7 +222,7 @@ class Curves(NamedTuple):
 
     @classmethod
     def of(cls, utilities) -> "Curves":
-        r, c1, c2, m, big_m = (np.array([getattr(u, f) for u in utilities], dtype=float)
+        r, c1, c2, m, big_m = (np.fromiter(map(attrgetter(f), utilities), dtype=float)
                                for f in ("r", "c1", "c2", "m", "big_m"))
         log_k = np.log(c1 * c2 / (r * -np.expm1(-c1)))
         return cls(r, c1, c2, 1.0 / c2, m, big_m, transformed(r, c2, m),
@@ -222,19 +248,23 @@ def _slope(p, xt_prev):
     return p * np.power(xt_prev, p - 1.0)
 
 
-def g_hat_terms(r, p, xt, xt_prev):
+def g_hat_terms(r, p, xt, xt_prev, w_prev=None):
     """Per-source contributions to the tangent (linearized) link load,
-    expanded at xt_prev.
+    expanded at xt_prev. ``w_prev`` is xt_prev**p, the load term a
+    scheduler carried from the rate step that produced xt_prev; it is
+    computed here when not given.
 
     Raises
     ------
     NonPositiveExpansionPointError
         If any expansion component is <= 0.
     """
-    if np.any(xt_prev <= 0.0):
+    if (xt_prev <= 0.0).any():
         raise NonPositiveExpansionPointError(
             f"expansion points must be > 0, got {np.min(xt_prev)}")
-    return r * (np.power(xt_prev, p) + _slope(p, xt_prev) * (xt - xt_prev))
+    if w_prev is None:
+        w_prev = np.power(xt_prev, p)
+    return r * (w_prev + _slope(p, xt_prev) * (xt - xt_prev))
 
 
 def price_step(mu, gamma: float, capacity, ghat):
@@ -247,15 +277,18 @@ def rates(c: Curves, xt_cur, rho):
 
     Solves the per-source stationarity condition given the path prices
     ``rho`` and the expansion points ``xt_cur``, clamps into the
-    transformed window, and maps back to Kbps. Returns (x_tilde, x).
+    transformed window, and maps back to Kbps. Returns (x_tilde, x, w)
+    with w = x_tilde**p, so that r*w, x before its clip, is the
+    source's true-load term (:func:`g_terms`).
     """
     sat = rho < RHO_FLOOR  # vanishing path price: rate saturates
     a = c.log_k + (1.0 - c.p) * np.log(xt_cur)
     raw = np.where(sat, c.hi, (a - np.log(np.where(sat, 1.0, rho))) / c.c1)
     xt_new = np.minimum(np.maximum(raw, c.lo), c.hi)
+    w = np.power(xt_new, c.p)
     # round-trip through the power map can land a hair outside [m, M]
-    x_new = np.minimum(np.maximum(g_terms(c.r, c.p, xt_new), c.m), c.big_m)
-    return xt_new, x_new
+    x_new = np.minimum(np.maximum(c.r * w, c.m), c.big_m)
+    return xt_new, x_new, w
 
 
 def steady(g, ghat, capacities, tol: float) -> bool:
@@ -280,8 +313,9 @@ class Incidence:
         self.capacities = np.array(net.capacities, dtype=float)
         self.link = np.repeat(np.arange(net.n_links, dtype=np.intp),
                               [len(on) for on in net.sources_on_link])
-        self.src = np.array([net.source_index[sid] for on in net.sources_on_link for sid in on],
-                            dtype=np.intp)
+        self.src = np.fromiter(map(net.source_index.__getitem__,
+                                   chain.from_iterable(net.sources_on_link)),
+                               dtype=np.intp, count=net.nnz)
         self.route = np.argsort(self.src, kind="stable")
         self.route_src = self.src[self.route]
         self.route_link = self.link[self.route]
@@ -312,6 +346,19 @@ class Model(Incidence):
         return self.link_sums(g_hat_terms(c.r, c.p, np.asarray(x_tilde, dtype=float),
                                           np.asarray(x_tilde_prev, dtype=float)))
 
+    def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
+        """Per-link (g, ĝ) at (x_tilde, x_tilde_prev) from the per-source
+        w = x_tilde**p and w_prev = x_tilde_prev**p."""
+        c = self.curves
+        return (self.link_sums(c.r * w),
+                self.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev)))
+
+    def collapsed(self, s: IterateState, tol: float) -> bool:
+        """Some source sits at the bottom of its rate window while a
+        link on its route has slack above tol, by the carried loads."""
+        loose = self.capacities - s.g > tol
+        return bool(np.any((s.x_tilde <= self.curves.lo)[self.src] & loose[self.link]))
+
     def initial_state(self, config: SolverConfig) -> IterateState:
         c = self.curves
         if config.x0 is not None:
@@ -331,40 +378,51 @@ class Model(Incidence):
         else:
             mu0 = np.full(self.n_links, float(config.mu0))
         xt = np.minimum(np.maximum(transformed(c.r, c.c2, x0), c.lo), c.hi)
-        return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0)
+        w = np.power(xt, c.p)
+        return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0,
+                            *self.loads(xt, xt, w, w), w)
 
 
 # ---------------------------------------------------------------------------
 # the driver and the engine's scheduler
 
-def iterate(model: Model, config: SolverConfig, step) -> AllocationResult:
-    """The price/rate loop shared by both schedulers.
+def iterate(model: Model, state: IterateState, config: SolverConfig,
+            step) -> AllocationResult:
+    """The price/rate loop shared by both schedulers, from the t=0
+    ``state`` of :meth:`Model.initial_state`.
 
-    ``step(state)`` returns the next IterateState. The loop stops when
-    the largest per-source rate change in Kbps drops below
-    config.epsilon AND the new state is steady at feas_tol, or at
+    ``step(state)`` returns the next IterateState, carrying its loads.
+    The loop stops when the largest per-source rate change in Kbps drops
+    below config.epsilon AND the new state is steady at feas_tol, or at
     max_iter (converged stays False). The rate metric alone can read
     zero while prices still slide along a degenerate dual direction with
     a link left overloaded; the steady-state condition keeps iterating
     through that. The trace has one record per iteration plus the t=0
-    row.
+    row, each holding the loads its state carried: the loop evaluates no
+    load kernel of its own.
     """
-    state = model.initial_state(config)
     trace = [TraceRecord(0, state.x, state.x_tilde, state.mu, state.rho, float("nan"),
-                         model.g_true(state.x_tilde), model.g_hat(state.x_tilde, state.x_tilde))]
+                         state.g, state.g_hat)]
     converged = False
     for t in range(1, config.max_iter + 1):
         new = step(state)
-        metric = float(np.max(np.abs(new.x - state.x), initial=0.0))
-        g = model.g_true(new.x_tilde)
-        gh = model.g_hat(new.x_tilde, new.x_tilde_prev)
-        trace.append(TraceRecord(t, new.x, new.x_tilde, new.mu, new.rho, metric, g, gh))
+        metric = float(np.abs(new.x - state.x).max(initial=0.0))
+        trace.append(TraceRecord(t, new.x, new.x_tilde, new.mu, new.rho, metric,
+                                 new.g, new.g_hat))
         state = new
-        if metric < config.epsilon and steady(g, gh, model.capacities, config.feas_tol):
+        if metric < config.epsilon and steady(new.g, new.g_hat, model.capacities,
+                                              config.feas_tol):
             converged = True
             break
+    if not converged:
+        stop_reason = "max_iter"
+    elif model.collapsed(state, config.feas_tol):
+        stop_reason = "collapsed"
+    else:
+        stop_reason = "converged"
     return AllocationResult(
         converged=converged,
+        stop_reason=stop_reason,
         iterations=state.t,
         x=state.x,
         x_tilde=state.x_tilde,
@@ -384,13 +442,13 @@ def solve(net: Network, utilities, config: SolverConfig | None = None) -> Alloca
     fresh = config.price_lag == "fresh"
 
     def step(s: IterateState) -> IterateState:
-        mu = price_step(s.mu, config.gamma, model.capacities,
-                        model.g_hat(s.x_tilde, s.x_tilde_prev))
+        mu = price_step(s.mu, config.gamma, model.capacities, s.g_hat)
         rho = model.path_prices(mu if fresh else s.mu)
-        xt, x = rates(model.curves, s.x_tilde, rho)
-        return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x)
+        xt, x, w = rates(model.curves, s.x_tilde, rho)
+        return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x,
+                            *model.loads(xt, s.x_tilde, w, s.w), w)
 
-    return iterate(model, config, step)
+    return iterate(model, model.initial_state(config), config, step)
 
 
 def polish(net: Network, utilities, res: AllocationResult,
@@ -420,8 +478,8 @@ def g_hat_term(r: float, c2: float, xt: float, xt_prev: float) -> float:
 def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float]:
     """The rate kernel for one source. Returns (new transformed rate,
     new rate in Kbps)."""
-    xt, x = rates(Curves.of((u,)), np.array([xt_cur], dtype=float),
-                  np.array([rho], dtype=float))
+    xt, x, _ = rates(Curves.of((u,)), np.array([xt_cur], dtype=float),
+                     np.array([rho], dtype=float))
     return float(xt[0]), float(x[0])
 
 
@@ -466,7 +524,7 @@ def update_rates(net: Network, utilities, state: IterateState):
     """
     model = Model(net, utilities)
     rho = model.path_prices(state.mu)
-    xt, x = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho)
+    xt, x, _ = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho)
     return xt, x, rho
 
 

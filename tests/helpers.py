@@ -1,4 +1,4 @@
-"""Shared reference data and the random-instance recipe used by tests.
+"""Shared reference data and the random-instance recipes used by tests.
 
 REFERENCE_RATES is the independently computed optimum of the built-in
 shared-link scenario (five flows on one 1000 Kbps link), obtained with
@@ -21,6 +21,7 @@ from scpnum import (
     inflection_point,
     local_opt_test,
     polish,
+    run_to_convergence,
     solve,
     total_utility,
 )
@@ -119,3 +120,29 @@ def oracle_agreement(net, utilities, res, gamma: float):
     if report.passed:
         cases.append("local_opt")
     return cases, gap, report
+
+
+def crowded_instance(seed: int = 0):
+    """40 sources over 4 links, 1-2 links each, so every link carries
+    well over 8 sources; capacities leave 60% headroom above the knees."""
+    rng = np.random.default_rng(seed)
+    n_links, n_sources = 4, 40
+    routes = []
+    for sid in range(1, n_sources + 1):
+        size = int(rng.integers(1, 3))
+        chosen = rng.choice(n_links, size=size, replace=False)
+        routes.append((sid, tuple(sorted(int(l) + 1 for l in chosen))))
+    utilities = tuple(SCurveUtility(r=float(rng.uniform(128, 384)), c1=6.0,
+                                    c2=float(rng.integers(2, 9)))
+                      for _ in range(n_sources))
+    links = [(lid, 1.6 * sum(inflection_point(utilities[sid - 1])
+                             for sid, route in routes if lid in route))
+             for lid in range(1, n_links + 1)]
+    return build_network(links, routes), utilities
+
+
+# a crowded_instance(0) configuration under which every source collapses
+# to its minimum rate and the run still meets the stopping rule
+COLLAPSE_CONFIG = {"gamma": 1e-5, "mu0": 1e-3, "epsilon": 1e-3}
+
+SCHEDULERS = {"engine": solve, "agents": lambda *args: run_to_convergence(*args)[0]}

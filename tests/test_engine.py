@@ -1,10 +1,12 @@
 """Price/rate iteration: scalar steps, link evaluations, and solve()."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import COLLAPSE_CONFIG, SCHEDULERS, crowded_instance, recipe_x0
 from scpnum import (
     IterateState,
     NonPositiveExpansionPointError,
@@ -21,7 +23,7 @@ from scpnum import (
     update_prices,
     update_rates,
 )
-from scpnum.engine import g_hat_term, g_true_term, price_step, rate_step
+from scpnum.engine import Curves, g_hat_term, g_true_term, price_step, rate_step
 
 
 def single_link_model():
@@ -178,6 +180,43 @@ def test_iteration_cap_reported_as_not_converged():
     assert not res.converged
     assert res.iterations == 3
     assert len(res.trace) == 4
+
+
+@pytest.mark.parametrize("scheduler", ["engine", "agents"])
+def test_collapse_below_the_knee_is_reported(scheduler):
+    net, utilities = crowded_instance(0)
+    cfg = SolverConfig(**COLLAPSE_CONFIG, x0=recipe_x0(net, utilities))
+    res = SCHEDULERS[scheduler](net, utilities, cfg)
+    # the run meets the stopping rule with every source at its minimum
+    # rate and every link far below capacity
+    assert res.converged
+    assert res.stop_reason == "collapsed"
+    assert np.all(res.x_tilde == Curves.of(utilities).lo)
+    assert np.all(np.array(net.capacities) - res.trace[-1].g > cfg.feas_tol)
+
+
+@pytest.mark.parametrize("scheduler", ["engine", "agents"])
+def test_source_at_minimum_on_a_saturated_link_is_not_collapse(scheduler):
+    # the link is too small for both knees: one source is served up to
+    # the capacity and the other sits at m, which is no collapse
+    net = build_network([(1, 100.0)], [(1, (1,)), (2, (1,))])
+    utilities = (SCurveUtility(r=256.0, c1=6.0, c2=2.0),
+                 SCurveUtility(r=128.0, c1=6.0, c2=2.0))
+    cfg = SolverConfig(gamma=1e-4, epsilon=1e-6, max_iter=20000, mu0=1e-3)
+    res = SCHEDULERS[scheduler](net, utilities, cfg)
+    assert res.converged and res.stop_reason == "converged"
+    assert res.x_tilde[0] == Curves.of(utilities).lo[0]
+    assert abs(res.trace[-1].g[0] - 100.0) <= cfg.feas_tol
+
+
+@pytest.mark.parametrize("name", ["paper-scenario-1", "chain-3", "single-source"])
+@pytest.mark.parametrize("scheduler", ["engine", "agents"])
+def test_stop_reason_of_built_ins(scheduler, name):
+    net, utilities, config = load_scenario(name)
+    res = SCHEDULERS[scheduler](net, utilities, config)
+    assert res.converged and res.stop_reason == "converged"
+    res = SCHEDULERS[scheduler](net, utilities, replace(config, max_iter=1))
+    assert not res.converged and res.stop_reason == "max_iter"
 
 
 def test_steady_state_check_at_convergence():

@@ -1,43 +1,17 @@
 """Array kernels: the summation order and slice invariance that keep the
-engine and the agents bitwise-equal on links with many sources."""
+engine and the agents bitwise-equal on links with many sources, and the
+loads each iterate carries in place of evaluating the kernels again."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import recipe_x0
-from scpnum import (
-    SCurveUtility,
-    SolverConfig,
-    build_network,
-    inflection_point,
-    run_to_convergence,
-    solve,
-)
-from scpnum.engine import Curves, g_hat_terms, g_terms, rates, sums
+from helpers import SCHEDULERS, crowded_instance, recipe_x0
+from scpnum import SCurveUtility, SolverConfig, build_network, run_to_convergence, solve
+from scpnum.engine import Curves, Model, g_hat_terms, g_terms, rates, sums
 
 KERNEL_SEED = 20261017
-
-
-def crowded_instance(seed: int = 0):
-    """40 sources over 4 links, 1-2 links each, so every link carries
-    well over 8 sources; capacities leave 60% headroom above the knees."""
-    rng = np.random.default_rng(seed)
-    n_links, n_sources = 4, 40
-    routes = []
-    for sid in range(1, n_sources + 1):
-        size = int(rng.integers(1, 3))
-        chosen = rng.choice(n_links, size=size, replace=False)
-        routes.append((sid, tuple(sorted(int(l) + 1 for l in chosen))))
-    utilities = tuple(SCurveUtility(r=float(rng.uniform(128, 384)), c1=6.0,
-                                    c2=float(rng.integers(2, 9)))
-                      for _ in range(n_sources))
-    links = [(lid, 1.6 * sum(inflection_point(utilities[sid - 1])
-                             for sid, route in routes if lid in route))
-             for lid in range(1, n_links + 1)]
-    return build_network(links, routes), utilities
-
 
 @pytest.mark.parametrize("price_lag", ["fresh", "lagged"])
 def test_crowded_links_trace_equivalence(price_lag):
@@ -92,8 +66,9 @@ def test_rate_and_load_kernels_are_slice_invariant():
     for j in range(n):
         s = slice(j, j + 1)
         cj = Curves._make(a[s] for a in c)
-        xt_j, x_j = rates(cj, xt[s], rho[s])
+        xt_j, x_j, w_j = rates(cj, xt[s], rho[s])
         assert xt_j[0] == full_rates[0][j] and x_j[0] == full_rates[1][j], j
+        assert w_j[0] == full_rates[2][j], j
         assert g_terms(cj.r, cj.p, xt[s])[0] == full_g[j], j
         assert g_hat_terms(cj.r, cj.p, xt[s], xp[s])[0] == full_gh[j], j
 
@@ -106,3 +81,45 @@ def test_sums_add_left_to_right():
     for i, w in zip(index, weights):
         expected[i] += float(w)
     assert np.array_equal(sums(index, weights, 20), np.array(expected))
+
+
+def crowded_config(net, utilities, price_lag, **kw):
+    return SolverConfig(**{"gamma": 1e-6, "epsilon": 1e-6, "max_iter": 3000, "mu0": 1e-4,
+                           "x0": recipe_x0(net, utilities), "price_lag": price_lag, **kw})
+
+
+@pytest.mark.parametrize("price_lag", ["fresh", "lagged"])
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_carried_loads_equal_fresh_kernels(scheduler, price_lag):
+    net, utilities = crowded_instance()
+    res = SCHEDULERS[scheduler](net, utilities, crowded_config(net, utilities, price_lag))
+    assert res.converged
+    model = Model(net, utilities)
+    prev = res.trace[0].x_tilde
+    for rec in res.trace:
+        assert np.array_equal(rec.g, model.g_true(rec.x_tilde)), rec.t
+        assert np.array_equal(rec.g_hat, model.g_hat(rec.x_tilde, prev)), rec.t
+        prev = rec.x_tilde
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
+    calls = []
+    for name in ("g_true", "g_hat"):
+        kernel = getattr(Model, name)
+
+        def counted(self, *args, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(Model, name, counted)
+    net, utilities = crowded_instance()
+    counts = []
+    for max_iter in (2, 40):
+        calls.clear()
+        # epsilon this small is never met in 40 iterations
+        res = SCHEDULERS[scheduler](net, utilities, crowded_config(
+            net, utilities, "fresh", epsilon=1e-300, max_iter=max_iter))
+        assert res.iterations == max_iter
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import COLLAPSE_CONFIG, crowded_instance, recipe_x0
 import scpnum
 from scpnum import (
     BUILT_IN_SCENARIOS,
@@ -314,6 +316,30 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(broken), "--out", str(tmp_path / "b")]) == 2
 
     assert main(["run", "no-such-name", "--out", str(tmp_path / "c")]) == 2
+
+
+def _collapsed_scenario():
+    net, utilities = crowded_instance(0)
+    return net, utilities, SolverConfig(**COLLAPSE_CONFIG, x0=recipe_x0(net, utilities))
+
+
+def _capped_scenario():
+    net, utilities, config = load_scenario("paper-scenario-1")
+    return net, utilities, replace(config, max_iter=1)
+
+
+@pytest.mark.parametrize("scenario,reason,code", [
+    (lambda: load_scenario("single-source"), "converged", 0),
+    (_collapsed_scenario, "collapsed", 0),
+    (_capped_scenario, "max_iter", 1),
+], ids=["converged", "collapsed", "max_iter"])
+def test_cli_run_reports_stop_reason(tmp_path, capsys, scenario, reason, code):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_to_json(*scenario()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    assert f"stop_reason={reason}," in capsys.readouterr().out
+    result = (tmp_path / "out" / "result.txt").read_text().splitlines()
+    assert f"stop_reason: {reason}" in result
 
 
 def test_cli_validate_single_source(tmp_path):
