@@ -29,7 +29,6 @@ monitor reads the links' load sums; it evaluates no kernel of its own.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -106,8 +105,8 @@ class Agents:
 
     ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x, rho
     and x̃**p per source; and per link the loads g and ĝ its agent summed
-    from the last delivered reports. ``r`` and ``p`` are each
-    incidence's source constants in link order, and ``w`` is the report
+    from the last delivered reports. ``r``, ``p`` and ``p_minus_1`` are
+    each incidence's source constants in link order, and ``w`` is the report
     mailbox: x̃**p of each incidence's last delivered report, in link
     order (None before the first delivery). ``prices`` holds the price mailboxes, one entry per incidence
     in route order; ``delivery`` is the inverse of the model's
@@ -119,6 +118,7 @@ class Agents:
     state: IterateState
     r: np.ndarray
     p: np.ndarray
+    p_minus_1: np.ndarray
     w: np.ndarray | None
     prices: np.ndarray
     delivery: np.ndarray
@@ -136,7 +136,8 @@ def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
     xt, xt_prev = block[2][agents.delivery], block[3][agents.delivery]
     w = np.power(xt, agents.p)
     g = sums(m.link, agents.r * w, m.n_links)
-    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, xt_prev, agents.w), m.n_links)
+    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, xt_prev, agents.w,
+                                    agents.p_minus_1), m.n_links)
     agents.w = w
     return block, g, ghat
 
@@ -157,7 +158,8 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     delivery = np.empty_like(model.route)
     delivery[model.route] = np.arange(len(model.route))
     c = model.curves
-    agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src], w=None,
+    agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src],
+                    p_minus_1=c.p_minus_1[model.src], w=None,
                     prices=state.mu[model.route_link], delivery=delivery, ends=ends)
     block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
     agents.state = replace(state, g=g, g_hat=ghat)
@@ -208,17 +210,24 @@ def run_to_convergence(net: Network, utilities, config: SolverConfig | None = No
     return iterate(agents.model, agents.state, config, step), log
 
 
-def export_messages(messages, path) -> None:
-    """Write the message log as CSV (full double precision)."""
+def export_messages(log: MessageLog, path) -> None:
+    """Write the message log as CSV, one row per message in emission
+    order, values at full double precision (%.17g) and ``value_prev``
+    empty on price updates, with the csv module's \\r\\n line ends.
+
+    Each block is written whole: one format string per block, applied
+    to its kind's id columns zipped with its value columns.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "kind", "sender", "receiver", "value", "value_prev"])
-        for m in messages:
-            w.writerow([
-                m.round, m.kind, m.sender, m.receiver,
-                f"{m.value:.17g}",
-                "" if m.value_prev is None else f"{m.value_prev:.17g}",
-            ])
+        fh.write("round,kind,sender,receiver,value,value_prev\r\n")
+        for t, kind, values, values_prev in log.blocks:
+            if values_prev is None:
+                fmt = f"{t},{kind},%d,%d,%.17g,\r\n"
+                rows = zip(*log.ends[kind], values.tolist())
+            else:
+                fmt = f"{t},{kind},%d,%d,%.17g,%.17g\r\n"
+                rows = zip(*log.ends[kind], values.tolist(), values_prev.tolist())
+            fh.write("".join(map(fmt.__mod__, rows)))
 
 
 def audit_locality(net: Network, messages) -> list[Message]:

@@ -54,39 +54,41 @@ TRACE_TOL = 1e-12
 BOUND_MARGIN = 1e-6
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _stacked(trace, fields) -> np.ndarray:
+    """The named fields of every trace row side by side, as one
+    (rows x columns) float block: each field is stacked across the rows
+    once, a per-row scalar such as the metric as one column."""
+    return np.column_stack([np.array([getattr(rec, f) for rec in trace], dtype=float)
+                            for f in fields])
 
 
 def write_trace(path: Path, net: Network, trace) -> None:
-    """CSV trace, one row per iterate including the t=0 state."""
+    """CSV trace, one row per iterate including the t=0 state: t, then
+    x, mu, the stopping metric, g and ĝ, each value at full double
+    precision (%.17g, which spells nan, inf and -0 as Python does).
+
+    The fields are stacked into one block and each row is written with
+    a single format string."""
     cols = (["t"]
             + [f"x_{sid}" for sid in net.source_ids]
             + [f"mu_{lid}" for lid in net.link_ids]
             + ["stopping_metric"]
             + [f"g_{lid}" for lid in net.link_ids]
             + [f"ghat_{lid}" for lid in net.link_ids])
+    block = _stacked(trace, ("x", "mu", "metric", "g", "g_hat"))
+    fmt = "%d," + ",".join(["%.17g"] * block.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for rec in trace:
-            row = ([str(rec.t)]
-                   + [_fmt(v) for v in rec.x]
-                   + [_fmt(v) for v in rec.mu]
-                   + [_fmt(rec.metric)]
-                   + [_fmt(v) for v in rec.g]
-                   + [_fmt(v) for v in rec.g_hat])
-            fh.write(",".join(row) + "\n")
-
-
-def _feasible(net: Network, utilities, res: AllocationResult, tol: float) -> bool:
-    return is_feasible(net, res.x, [(u.m, u.big_m) for u in utilities], tol).ok
+        fh.write("".join(fmt % (rec.t, *row) for rec, row in zip(trace, block.tolist())))
 
 
 def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
-                 config: SolverConfig, res: AllocationResult, runtime: float) -> None:
+                 config: SolverConfig, res: AllocationResult, runtime: float,
+                 feasible: bool) -> None:
+    """result.txt; ``feasible`` is the caller's ``is_feasible`` verdict on
+    res.x at config.feas_tol."""
     # the last trace row holds the loads at (x_tilde, x_tilde_prev)
     g, gh = res.trace[-1].g, res.trace[-1].g_hat
-    feasible = _feasible(net, utilities, res, config.feas_tol)
     steady_ok = steady(g, gh, np.array(net.capacities), config.feas_tol)
     kkt = kkt_residual(net, utilities, res.x_tilde, res.x_tilde_prev, res.mu)
     util = total_utility(utilities, res.x)
@@ -137,15 +139,16 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _trace_deviation(trace_a, trace_b):
-    """Worst relative deviation across paired trace records."""
-    worst = 0.0
-    for ra, rb in zip(trace_a, trace_b):
-        for a, b in ((ra.x, rb.x), (ra.mu, rb.mu), (ra.g, rb.g), (ra.g_hat, rb.g_hat)):
-            num = np.abs(np.asarray(a) - np.asarray(b))
-            den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-            worst = max(worst, float(np.max(num / den))) if num.size else worst
-    return worst
+def _trace_deviation(trace_a, trace_b) -> float:
+    """Worst relative deviation |a - b| / max(|a|, |b|, 1) over x, mu, g
+    and ĝ of the paired trace rows (the shorter trace's length), as one
+    array expression over the two stacked blocks. A NaN in either trace
+    makes the deviation NaN, which no tolerance accepts."""
+    rows = min(len(trace_a), len(trace_b))
+    fields = ("x", "mu", "g", "g_hat")
+    a, b = _stacked(trace_a[:rows], fields), _stacked(trace_b[:rows], fields)
+    den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return float(np.max(np.abs(a - b) / den, initial=0.0))
 
 
 def write_equivalence(path: Path, net: Network, res_e: AllocationResult,
@@ -189,16 +192,17 @@ def cmd_run(args) -> int:
         res_agents, messages = run_to_convergence(net, utilities, config)
     runtime = time.perf_counter() - t0
 
+    feasible = is_feasible(net, res.x, [(u.m, u.big_m) for u in utilities],
+                           config.feas_tol).ok
     write_trace(out / "trace.csv", net, res.trace)
     write_result(out / "result.txt", args.scenario, args.mode, net, utilities,
-                 config, res, runtime)
+                 config, res, runtime, feasible)
     if messages is not None:
         export_messages(messages, out / "messages.csv")
     if res_agents is not None:
         dev = write_equivalence(out / "equivalence.txt", net, res, res_agents, messages)
         print(f"equivalence: max relative trace deviation {dev:.3e}")
 
-    feasible = _feasible(net, utilities, res, config.feas_tol)
     status = "converged" if res.converged else "NOT converged"
     print(f"{args.scenario} [{args.mode}]: {status} after {res.iterations} iterations, "
           f"stop_reason={res.stop_reason}, feasible={feasible}, outputs in {out}")

@@ -104,7 +104,13 @@ class SolverConfig:
     price_lag
         'fresh' lets the rate step see the prices just produced by the
         price step; 'lagged' uses the prices from the previous
-        iteration. Both settings share fixed points.
+        iteration. Both settings share fixed points: a lagged solve
+        started at a fresh fixed point stops there after one
+        iteration. They do not share trajectories, and from the
+        default start a lagged run need not reach that point: on the
+        built-ins, lagged chain-3 runs to max_iter (10000) and lagged
+        paper-scenario-1 and single-source stop as 'collapsed' after
+        9 and 16 iterations.
     feas_tol
         Feasibility slack in Kbps, >= 0, used by the steady-state test
         and for reporting.
@@ -207,8 +213,9 @@ class AllocationResult:
 class Curves(NamedTuple):
     """Per-source constants of the kernels, one array per field, aligned
     with ascending source id: the curve parameters, the load exponent
-    p = 1/c2, the transformed window [lo, hi] and
-    log_k = log(c1*c2 / (r*(1 - exp(-c1))))."""
+    p = 1/c2, the transformed window [lo, hi],
+    log_k = log(c1*c2 / (r*(1 - exp(-c1)))), and the exponents 1 - p of
+    the rate step and p - 1 of the tangent's slope."""
 
     r: np.ndarray
     c1: np.ndarray
@@ -219,14 +226,17 @@ class Curves(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     log_k: np.ndarray
+    one_minus_p: np.ndarray
+    p_minus_1: np.ndarray
 
     @classmethod
     def of(cls, utilities) -> "Curves":
         r, c1, c2, m, big_m = (np.fromiter(map(attrgetter(f), utilities), dtype=float)
                                for f in ("r", "c1", "c2", "m", "big_m"))
         log_k = np.log(c1 * c2 / (r * -np.expm1(-c1)))
-        return cls(r, c1, c2, 1.0 / c2, m, big_m, transformed(r, c2, m),
-                   transformed(r, c2, big_m), log_k)
+        p = 1.0 / c2
+        return cls(r, c1, c2, p, m, big_m, transformed(r, c2, m),
+                   transformed(r, c2, big_m), log_k, 1.0 - p, p - 1.0)
 
 
 def transformed(r, c2, x):
@@ -244,15 +254,16 @@ def g_terms(r, p, xt):
     return r * np.power(xt, p)
 
 
-def _slope(p, xt_prev):
-    return p * np.power(xt_prev, p - 1.0)
+def _slope(p, xt_prev, p_minus_1):
+    return p * np.power(xt_prev, p_minus_1)
 
 
-def g_hat_terms(r, p, xt, xt_prev, w_prev=None):
+def g_hat_terms(r, p, xt, xt_prev, w_prev=None, p_minus_1=None):
     """Per-source contributions to the tangent (linearized) link load,
     expanded at xt_prev. ``w_prev`` is xt_prev**p, the load term a
-    scheduler carried from the rate step that produced xt_prev; it is
-    computed here when not given.
+    scheduler carried from the rate step that produced xt_prev, and
+    ``p_minus_1`` is p - 1 (:class:`Curves` holds it); each is computed
+    here when not given.
 
     Raises
     ------
@@ -264,7 +275,9 @@ def g_hat_terms(r, p, xt, xt_prev, w_prev=None):
             f"expansion points must be > 0, got {np.min(xt_prev)}")
     if w_prev is None:
         w_prev = np.power(xt_prev, p)
-    return r * (w_prev + _slope(p, xt_prev) * (xt - xt_prev))
+    if p_minus_1 is None:
+        p_minus_1 = p - 1.0
+    return r * (w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev))
 
 
 def price_step(mu, gamma: float, capacity, ghat):
@@ -282,8 +295,10 @@ def rates(c: Curves, xt_cur, rho):
     source's true-load term (:func:`g_terms`).
     """
     sat = rho < RHO_FLOOR  # vanishing path price: rate saturates
-    a = c.log_k + (1.0 - c.p) * np.log(xt_cur)
-    raw = np.where(sat, c.hi, (a - np.log(np.where(sat, 1.0, rho))) / c.c1)
+    a = c.log_k + c.one_minus_p * np.log(xt_cur)
+    # the floor only keeps log finite on saturated entries, which the
+    # outer where discards; every other entry has rho >= RHO_FLOOR
+    raw = np.where(sat, c.hi, (a - np.log(np.maximum(rho, RHO_FLOOR))) / c.c1)
     xt_new = np.minimum(np.maximum(raw, c.lo), c.hi)
     w = np.power(xt_new, c.p)
     # round-trip through the power map can land a hair outside [m, M]
@@ -344,14 +359,16 @@ class Model(Incidence):
     def g_hat(self, x_tilde, x_tilde_prev) -> np.ndarray:
         c = self.curves
         return self.link_sums(g_hat_terms(c.r, c.p, np.asarray(x_tilde, dtype=float),
-                                          np.asarray(x_tilde_prev, dtype=float)))
+                                          np.asarray(x_tilde_prev, dtype=float),
+                                          p_minus_1=c.p_minus_1))
 
     def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
         """Per-link (g, ĝ) at (x_tilde, x_tilde_prev) from the per-source
         w = x_tilde**p and w_prev = x_tilde_prev**p."""
         c = self.curves
         return (self.link_sums(c.r * w),
-                self.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev)))
+                self.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev,
+                                           c.p_minus_1)))
 
     def collapsed(self, s: IterateState, tol: float) -> bool:
         """Some source sits at the bottom of its rate window while a
@@ -552,7 +569,7 @@ def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResid
     xt = np.asarray(x_tilde, dtype=float)
     mu = np.asarray(mu, dtype=float)
     dutil = -c.c1 * np.exp(-c.c1 * xt) / np.expm1(-c.c1)
-    dload = c.r * _slope(c.p, np.asarray(x_tilde_prev, dtype=float))
+    dload = c.r * _slope(c.p, np.asarray(x_tilde_prev, dtype=float), c.p_minus_1)
     stat = dutil - dload * model.path_prices(mu)
     slack = mu * (model.g_true(xt) - model.capacities)
     return KKTResidual(stat, stat / dutil, slack, slack / model.capacities)

@@ -18,6 +18,7 @@ from scpnum import (
     kkt_residual,
     load_scenario,
     path_prices,
+    polish,
     solve,
     steady_state_check,
     update_prices,
@@ -170,6 +171,22 @@ def test_fresh_and_lagged_share_fixed_points():
     assert fresh.converged and lagged.converged
     assert np.max(np.abs(fresh.x - lagged.x)) <= 1e-6
     assert np.max(np.abs(fresh.mu - lagged.mu)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["paper-scenario-1", "chain-3", "single-source"])
+def test_lagged_solve_stays_at_the_polished_fresh_point(name):
+    # the fixed points are shared even where the lagged trajectory from
+    # the default start goes elsewhere (chain-3 hits max_iter, the
+    # other two collapse): started at the fresh fixed point, a lagged
+    # solve stops there after one iteration
+    net, utilities, config = load_scenario(name)
+    point = polish(net, utilities, solve(net, utilities, config), config)
+    assert point.converged
+    lagged = solve(net, utilities, replace(config, price_lag="lagged",
+                                           x0=tuple(point.x), mu0=tuple(point.mu)))
+    assert lagged.converged
+    assert lagged.iterations == 1
+    assert np.max(np.abs(lagged.x - point.x)) <= 1e-9
 
 
 def test_iteration_cap_reported_as_not_converged():
