@@ -7,12 +7,13 @@ links update and announce prices, then sources update and report rates.
 Each agent is its segment of the engine's CSR incidence list
 (:class:`scpnum.engine.Incidence`): link i owns mu[i] and a mailbox of
 its sources' reports (x̃, x̃_prev) in link order; source j owns x̃,
-x̃_prev, x and rho and a mailbox of its route's prices in route order.
-Mailboxes are written only from the values of delivered messages. Each
-phase runs a kernel once over all agents; every output reads only its
-own agent's segment and the sums add each segment left to right, so
-the trace is bit-identical to ``engine.solve`` on the same inputs. The
-log (:class:`MessageLog`) keeps each phase as one block of value columns.
+x̃_prev, x and rho and a mailbox of its route's prices in route order,
+which it sums in the round they are delivered. Mailboxes are written
+only from the values of delivered messages. Each phase runs a kernel
+once over all agents; every output reads only its own agent's segment
+and the sums add each segment left to right, so the trace is
+bit-identical to ``engine.solve`` on the same inputs. The log
+(:class:`MessageLog`) keeps each phase as one block of value columns.
 
 Links sum their loads when the reports are delivered: the true load g
 and the tangent load ĝ of x̃ expanded at x̃_prev. What a link keeps of
@@ -108,10 +109,10 @@ class Agents:
     from the last delivered reports. ``r``, ``p`` and ``p_minus_1`` are
     each incidence's source constants in link order, and ``w`` is the report
     mailbox: x̃**p of each incidence's last delivered report, in link
-    order (None before the first delivery). ``prices`` holds the price mailboxes, one entry per incidence
-    in route order; ``delivery`` is the inverse of the model's
-    ``route``, which takes route order to link order; ``ends`` holds the
-    :class:`MessageLog` id columns.
+    order (of the initial rates before the first delivery).
+    ``delivery`` is the inverse of the model's ``route``, which takes
+    route order to link order; ``ends`` holds the :class:`MessageLog` id
+    columns.
     """
 
     model: Model
@@ -119,8 +120,7 @@ class Agents:
     r: np.ndarray
     p: np.ndarray
     p_minus_1: np.ndarray
-    w: np.ndarray | None
-    prices: np.ndarray
+    w: np.ndarray
     delivery: np.ndarray
     ends: dict
 
@@ -144,8 +144,8 @@ def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
 
 def build_agents(net: Network, utilities, config: SolverConfig):
     """All agents of a model, already consistent: sources start at the
-    configured rates holding the initial prices of their routes, links
-    hold the loads of the round-0 reports.
+    configured rates and the path prices of the initial link prices,
+    links hold the loads of the round-0 reports.
 
     Returns (agents, round-0 seeding messages as a MessageLog).
     """
@@ -159,8 +159,8 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     delivery[model.route] = np.arange(len(model.route))
     c = model.curves
     agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src],
-                    p_minus_1=c.p_minus_1[model.src], w=None,
-                    prices=state.mu[model.route_link], delivery=delivery, ends=ends)
+                    p_minus_1=c.p_minus_1[model.src], w=state.w[model.src],
+                    delivery=delivery, ends=ends)
     block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
     agents.state = replace(state, g=g, g_hat=ghat)
     return agents, MessageLog(ends, [block])
@@ -180,13 +180,11 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
     mu = price_step(s.mu, config.gamma, m.capacities, s.g_hat)
     values = mu[m.link]
 
-    # barrier: route-order slot k takes link-order row route[k]; the
-    # prices held before delivery stay for lagged pricing
-    held, agents.prices = agents.prices, values[m.route]
+    # barrier: the price mailboxes, route-order slot k from link-order row route[k]
+    prices = values[m.route]
 
-    # phase B: every source sums its route's prices and updates its rate
-    rho = sums(m.route_src, agents.prices if config.price_lag == "fresh" else held,
-               m.n_sources)
+    # phase B: every source sums the prices just delivered and updates its rate
+    rho = sums(m.route_src, prices, m.n_sources)
     xt, x, w = rates(m.curves, s.x_tilde, rho)
     block, g, ghat = _report(agents, t, xt, s.x_tilde)
     agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x, g, ghat, w)

@@ -96,7 +96,6 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
     lines = [
         f"scenario: {scenario}",
         f"mode: {mode}",
-        f"price_lag: {config.price_lag}",
         f"converged: {str(res.converged).lower()}",
         f"stop_reason: {res.stop_reason}",
         f"iterations: {res.iterations}",

@@ -64,8 +64,6 @@ __all__ = [
     "polish",
     "kkt_residual",
     "steady_state_check",
-    "g_true_term",
-    "g_hat_term",
     "price_step",
     "rate_step",
     "NonPositiveExpansionPointError",
@@ -101,16 +99,6 @@ class SolverConfig:
     x0
         Per-source initial rates in Kbps, each inside its rate window;
         None starts every source at the midpoint (m + M)/2.
-    price_lag
-        'fresh' lets the rate step see the prices just produced by the
-        price step; 'lagged' uses the prices from the previous
-        iteration. Both settings share fixed points: a lagged solve
-        started at a fresh fixed point stops there after one
-        iteration. They do not share trajectories, and from the
-        default start a lagged run need not reach that point: on the
-        built-ins, lagged chain-3 runs to max_iter (10000) and lagged
-        paper-scenario-1 and single-source stop as 'collapsed' after
-        9 and 16 iterations.
     feas_tol
         Feasibility slack in Kbps, >= 0, used by the steady-state test
         and for reporting.
@@ -124,7 +112,6 @@ class SolverConfig:
     max_iter: int = 10000
     mu0: float | tuple[float, ...] = 1.0
     x0: tuple[float, ...] | None = None
-    price_lag: str = "fresh"
     feas_tol: float = 0.5
 
     def __post_init__(self):
@@ -147,15 +134,13 @@ class SolverConfig:
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
             _finite("x0", self.x0)
-        if self.price_lag not in ("fresh", "lagged"):
-            raise ValueError(f"unknown price_lag {self.price_lag!r}")
 
 
 @dataclass
 class IterateState:
     """One iterate of the price/rate loop. Arrays align with the
     network's ascending source and link id orders; rho holds the path
-    prices the rate step that produced x actually saw.
+    prices of mu, which the rate step that produced x saw.
 
     The iterate carries its loads: g and g_hat are the per-link true and
     tangent loads at (x_tilde, x_tilde_prev), and w = x_tilde**p per
@@ -258,12 +243,11 @@ def _slope(p, xt_prev, p_minus_1):
     return p * np.power(xt_prev, p_minus_1)
 
 
-def g_hat_terms(r, p, xt, xt_prev, w_prev=None, p_minus_1=None):
+def g_hat_terms(r, p, xt, xt_prev, w_prev, p_minus_1):
     """Per-source contributions to the tangent (linearized) link load,
     expanded at xt_prev. ``w_prev`` is xt_prev**p, the load term a
     scheduler carried from the rate step that produced xt_prev, and
-    ``p_minus_1`` is p - 1 (:class:`Curves` holds it); each is computed
-    here when not given.
+    ``p_minus_1`` is p - 1 (:class:`Curves` holds it).
 
     Raises
     ------
@@ -273,10 +257,6 @@ def g_hat_terms(r, p, xt, xt_prev, w_prev=None, p_minus_1=None):
     if (xt_prev <= 0.0).any():
         raise NonPositiveExpansionPointError(
             f"expansion points must be > 0, got {np.min(xt_prev)}")
-    if w_prev is None:
-        w_prev = np.power(xt_prev, p)
-    if p_minus_1 is None:
-        p_minus_1 = p - 1.0
     return r * (w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev))
 
 
@@ -358,9 +338,12 @@ class Model(Incidence):
 
     def g_hat(self, x_tilde, x_tilde_prev) -> np.ndarray:
         c = self.curves
+        xt_prev = np.asarray(x_tilde_prev, dtype=float)
+        # a negative expansion point is g_hat_terms' error, not a NaN warning
+        with np.errstate(invalid="ignore"):
+            w_prev = np.power(xt_prev, c.p)
         return self.link_sums(g_hat_terms(c.r, c.p, np.asarray(x_tilde, dtype=float),
-                                          np.asarray(x_tilde_prev, dtype=float),
-                                          p_minus_1=c.p_minus_1))
+                                          xt_prev, w_prev, c.p_minus_1))
 
     def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
         """Per-link (g, ĝ) at (x_tilde, x_tilde_prev) from the per-source
@@ -456,11 +439,10 @@ def solve(net: Network, utilities, config: SolverConfig | None = None) -> Alloca
     if config is None:
         config = SolverConfig()
     model = Model(net, utilities)
-    fresh = config.price_lag == "fresh"
 
     def step(s: IterateState) -> IterateState:
         mu = price_step(s.mu, config.gamma, model.capacities, s.g_hat)
-        rho = model.path_prices(mu if fresh else s.mu)
+        rho = model.path_prices(mu)
         xt, x, w = rates(model.curves, s.x_tilde, rho)
         return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x,
                             *model.loads(xt, s.x_tilde, w, s.w), w)
@@ -473,24 +455,13 @@ def polish(net: Network, utilities, res: AllocationResult,
     """Re-solve from a finished run's rates and prices down to a
     machine-precision fixed point (epsilon 1e-10, up to 500000
     iterations), which is what the sampled local-optimality test needs.
-    Step size, price lag and tolerances come from ``config``."""
+    Step size and tolerances come from ``config``."""
     return solve(net, utilities, replace(
         config, epsilon=1e-10, max_iter=500000, mu0=tuple(res.mu), x0=tuple(res.x)))
 
 
 # ---------------------------------------------------------------------------
 # per-item views over the kernels
-
-def g_true_term(r: float, c2: float, xt: float) -> float:
-    """One source's Kbps contribution to a link load, from its transformed rate."""
-    return float(g_terms(np.array([r]), np.array([1.0 / c2]), np.array([xt]))[0])
-
-
-def g_hat_term(r: float, c2: float, xt: float, xt_prev: float) -> float:
-    """One source's contribution to the tangent (linearized) link load."""
-    return float(g_hat_terms(np.array([r]), np.array([1.0 / c2]), np.array([xt]),
-                             np.array([xt_prev]))[0])
-
 
 def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float]:
     """The rate kernel for one source. Returns (new transformed rate,

@@ -200,18 +200,25 @@ def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
     -------
     FeasibilityReport
         ``ok`` plus one Violation per breached constraint, each carrying
-        the overshoot magnitude.
+        the overshoot magnitude. A NaN rate breaches its bounds and every
+        link on its route, with a NaN overshoot.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` does not have one entry per source.
     """
+    if len(x) != net.n_sources:
+        raise ValueError(f"x must have {net.n_sources} entries, got {len(x)}")
     violations: list[Violation] = []
+    # each test is written so that a NaN fails it
     for j, sid in enumerate(net.source_ids):
         lo, hi = bounds[j]
         xv = float(x[j])
-        if xv < lo - tol:
-            violations.append(Violation("bounds", sid, lo - xv))
-        elif xv > hi + tol:
-            violations.append(Violation("bounds", sid, xv - hi))
+        if not lo - tol <= xv <= hi + tol:
+            violations.append(Violation("bounds", sid, lo - xv if xv < lo - tol else xv - hi))
     for i, lid in enumerate(net.link_ids):
         load = link_load(net, x, lid)
-        if load > net.capacities[i] + tol:
+        if not load <= net.capacities[i] + tol:
             violations.append(Violation("capacity", lid, load - net.capacities[i]))
     return FeasibilityReport(not violations, tuple(violations))

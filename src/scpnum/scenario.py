@@ -8,7 +8,7 @@ optional ``solver`` block:
       "sources": [{"id": 1, "r_kbps": 256.0, "c1": 6.0, "c2": 2.0,
                    "m_kbps": 1.0, "big_m_kbps": 256.0, "route": [1]}],
       "solver":  {"gamma": 1e-4, "epsilon": 0.1, "max_iter": 10000,
-                  "mu0": 0.01, "x0": [200.0], "price_lag": "fresh"}
+                  "mu0": 0.01, "x0": [200.0]}
     }
 
 ``m_kbps``, ``big_m_kbps``, and every solver field are optional.
@@ -213,7 +213,7 @@ def _model_from_doc(doc: dict):
     kwargs = {}
     spath = "solver"
     for key in solver_doc:
-        if key not in ("gamma", "epsilon", "max_iter", "mu0", "x0", "price_lag"):
+        if key not in ("gamma", "epsilon", "max_iter", "mu0", "x0"):
             raise ScenarioValidationError(f"{spath}.{key}", "unknown field")
     for key in ("gamma", "epsilon"):
         val = _optional_number(solver_doc, key, spath)
@@ -239,11 +239,6 @@ def _model_from_doc(doc: dict):
             raise ScenarioValidationError(
                 f"{spath}.x0", f"expected list of {net.n_sources} rates")
         kwargs["x0"] = tuple(_number(v, f"{spath}.x0[{i}]") for i, v in enumerate(val))
-    if "price_lag" in solver_doc:
-        val = solver_doc["price_lag"]
-        if not isinstance(val, str):
-            raise ScenarioValidationError(f"{spath}.price_lag", "expected string")
-        kwargs["price_lag"] = val
     try:
         config = SolverConfig(**kwargs)
     except ValueError as exc:
@@ -275,7 +270,17 @@ def load_scenario(src):
 
 def scenario_to_json(net: Network, utilities, config: SolverConfig) -> str:
     """Serialize a model back to scenario JSON. Reloading the output
-    reproduces the same Network, utilities, and SolverConfig."""
+    reproduces the same Network, utilities, and SolverConfig.
+
+    Raises
+    ------
+    ValueError
+        If ``config.feas_tol`` is not SolverConfig's default: the format
+        has no field for it, so it would not survive the reload.
+    """
+    if config.feas_tol != SolverConfig.feas_tol:
+        raise ValueError(f"feas_tol {config.feas_tol} differs from the default "
+                         f"{SolverConfig.feas_tol}, which a scenario cannot store")
     doc = {
         "links": [
             {"id": lid, "capacity_kbps": net.capacities[i]}
@@ -298,7 +303,6 @@ def scenario_to_json(net: Network, utilities, config: SolverConfig) -> str:
             "epsilon": config.epsilon,
             "max_iter": config.max_iter,
             "mu0": list(config.mu0) if isinstance(config.mu0, tuple) else config.mu0,
-            "price_lag": config.price_lag,
         },
     }
     if config.x0 is not None:

@@ -4,7 +4,6 @@ accounting, and locality."""
 import csv
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,8 +55,7 @@ def test_one_round_equals_one_engine_iteration():
     agents, _ = build_agents(net, utilities, config)
     run_round(agents, 1, config)
     cfg1 = SolverConfig(gamma=config.gamma, epsilon=1e-15, max_iter=1,
-                        mu0=config.mu0, x0=config.x0,
-                        price_lag=config.price_lag)
+                        mu0=config.mu0, x0=config.x0)
     ref = solve(net, utilities, cfg1).trace[1]
     x = agents.state.x
     mu = agents.state.mu
@@ -79,17 +77,6 @@ def test_chain_trace_equivalence():
     res_agents, log = run_to_convergence(net, utilities, config)
     assert_traces_identical(res_engine, res_agents)
     assert audit_locality(net, log) == []
-
-
-def test_lagged_trace_equivalence():
-    net, utilities, _ = load_scenario("paper-scenario-1")
-    config = SolverConfig(gamma=2e-5, epsilon=0.1, max_iter=10000, mu0=0.01,
-                          x0=(200.0,) * 5,
-                          price_lag="lagged")
-    res_engine = solve(net, utilities, config)
-    res_agents, _ = run_to_convergence(net, utilities, config)
-    assert res_engine.converged
-    assert_traces_identical(res_engine, res_agents)
 
 
 def test_message_counts():
@@ -127,11 +114,9 @@ def test_rate_reports_carry_both_iterates():
             assert m.value_prev is None
 
 
-@pytest.mark.parametrize("name,price_lag", [("chain-3", "fresh"),
-                                             ("paper-scenario-1", "lagged")])
-def test_message_log_follows_the_trace(name, price_lag):
+@pytest.mark.parametrize("name", ["chain-3", "paper-scenario-1"])
+def test_message_log_follows_the_trace(name):
     net, utilities, config = load_scenario(name)
-    config = replace(config, price_lag=price_lag)
     res, log = run_to_convergence(net, utilities, config)
     trace = res.trace
     routed = [(lid, sid) for lid, on in zip(net.link_ids, net.sources_on_link) for sid in on]

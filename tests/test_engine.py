@@ -1,7 +1,7 @@
 """Price/rate iteration: scalar steps, link evaluations, and solve()."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from scpnum import (
     update_prices,
     update_rates,
 )
-from scpnum.engine import Curves, g_hat_term, g_true_term, price_step, rate_step
+from scpnum.engine import Curves, g_hat_terms, g_terms, price_step, rate_step
 
 
 def single_link_model():
@@ -42,11 +42,18 @@ def test_price_step_projects_at_zero():
     assert price_step(0.01, 1.0, 100.0, 1.0) == 0.0
 
 
+def load_terms(r, c2, y, yp):
+    """One source's (true, tangent) load terms at y, the tangent expanded at yp."""
+    r, p, y, yp = (np.array([v]) for v in (r, 1.0 / c2, y, yp))
+    return g_terms(r, p, y)[0], g_hat_terms(r, p, y, yp, np.power(yp, p), p - 1.0)[0]
+
+
 def test_link_load_terms_hand_values():
     # r=256, c2=2: true load at y=0.36 is 256*0.6; tangent at y'=0.25
     # is 256*(0.5 + 0.5/sqrt(0.25)*(0.36-0.25)) = 256*0.61
-    assert g_true_term(256.0, 2.0, 0.36) == pytest.approx(153.6, rel=1e-14)
-    assert g_hat_term(256.0, 2.0, 0.36, 0.25) == pytest.approx(156.16, rel=1e-14)
+    g, ghat = load_terms(256.0, 2.0, 0.36, 0.25)
+    assert g == pytest.approx(153.6, rel=1e-14)
+    assert ghat == pytest.approx(156.16, rel=1e-14)
 
 
 def test_tangent_touches_at_expansion_point():
@@ -64,13 +71,15 @@ def test_tangent_dominates_true_load():
         c2 = float(rng.integers(1, 11))
         y = float(rng.uniform(1e-6, 1.0))
         yp = float(rng.uniform(1e-6, 1.0))
-        assert g_hat_term(r, c2, y, yp) >= g_true_term(r, c2, y) - 1e-9
+        g, ghat = load_terms(r, c2, y, yp)
+        assert ghat >= g - 1e-9
 
 
 def test_g_hat_rejects_nonpositive_expansion():
     net, utilities = single_link_model()
-    with pytest.raises(NonPositiveExpansionPointError):
-        g_hat(net, utilities, np.array([0.5]), np.array([0.0]), 1)
+    for bad in (0.0, -0.25):
+        with pytest.raises(NonPositiveExpansionPointError):
+            g_hat(net, utilities, np.array([0.5]), np.array([bad]), 1)
 
 
 def test_rate_step_interior_stationarity():
@@ -162,31 +171,17 @@ def test_midpoint_initialization():
     assert res.trace[0].x[0] == (1.0 + 256.0) / 2.0
 
 
-def test_fresh_and_lagged_share_fixed_points():
-    net, utilities, _ = load_scenario("paper-scenario-1")
-    base = dict(gamma=2e-5, epsilon=1e-8, max_iter=200000, mu0=0.01,
-                x0=(200.0,) * 5)
-    fresh = solve(net, utilities, SolverConfig(price_lag="fresh", **base))
-    lagged = solve(net, utilities, SolverConfig(price_lag="lagged", **base))
-    assert fresh.converged and lagged.converged
-    assert np.max(np.abs(fresh.x - lagged.x)) <= 1e-6
-    assert np.max(np.abs(fresh.mu - lagged.mu)) <= 1e-9
-
-
 @pytest.mark.parametrize("name", ["paper-scenario-1", "chain-3", "single-source"])
-def test_lagged_solve_stays_at_the_polished_fresh_point(name):
-    # the fixed points are shared even where the lagged trajectory from
-    # the default start goes elsewhere (chain-3 hits max_iter, the
-    # other two collapse): started at the fresh fixed point, a lagged
-    # solve stops there after one iteration
+def test_solve_stays_at_the_polished_point(name):
+    # polish ends at a fixed point: a solve started there stops after one
+    # iteration without moving
     net, utilities, config = load_scenario(name)
     point = polish(net, utilities, solve(net, utilities, config), config)
     assert point.converged
-    lagged = solve(net, utilities, replace(config, price_lag="lagged",
-                                           x0=tuple(point.x), mu0=tuple(point.mu)))
-    assert lagged.converged
-    assert lagged.iterations == 1
-    assert np.max(np.abs(lagged.x - point.x)) <= 1e-9
+    again = solve(net, utilities, replace(config, x0=tuple(point.x), mu0=tuple(point.mu)))
+    assert again.converged
+    assert again.iterations == 1
+    assert np.max(np.abs(again.x - point.x)) <= 1e-9
 
 
 def test_iteration_cap_reported_as_not_converged():
@@ -270,8 +265,15 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(mu0=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(price_lag="stale")
+
+
+def test_solver_config_has_one_price_order():
+    # the rate step always sees the prices the price step just produced;
+    # no field chooses another order
+    assert [f.name for f in fields(SolverConfig)] == [
+        "gamma", "epsilon", "max_iter", "mu0", "x0", "feas_tol"]
+    with pytest.raises(TypeError):
+        SolverConfig(price_lag="fresh")
 
 
 @pytest.mark.parametrize("field,value", [

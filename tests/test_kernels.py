@@ -13,13 +13,16 @@ from scpnum.engine import Curves, Model, g_hat_terms, g_terms, rates, sums
 
 KERNEL_SEED = 20261017
 
-@pytest.mark.parametrize("price_lag", ["fresh", "lagged"])
-def test_crowded_links_trace_equivalence(price_lag):
+
+def crowded_config(net, utilities, **kw):
+    return SolverConfig(**{"gamma": 1e-6, "epsilon": 1e-6, "max_iter": 3000, "mu0": 1e-4,
+                           "x0": recipe_x0(net, utilities), **kw})
+
+
+def test_crowded_links_trace_equivalence():
     net, utilities = crowded_instance()
     assert max(len(on) for on in net.sources_on_link) >= 8
-    config = SolverConfig(gamma=1e-6, epsilon=1e-6, max_iter=3000, mu0=1e-4,
-                          x0=recipe_x0(net, utilities),
-                          price_lag=price_lag)
+    config = crowded_config(net, utilities)
     res_e = solve(net, utilities, config)
     res_a, _ = run_to_convergence(net, utilities, config)
     assert res_e.converged and res_a.converged
@@ -62,7 +65,7 @@ def test_rate_and_load_kernels_are_slice_invariant():
     rho[::50] = 0.0  # vanishing path price: the saturating branch
     full_rates = rates(c, xt, rho)
     full_g = g_terms(c.r, c.p, xt)
-    full_gh = g_hat_terms(c.r, c.p, xt, xp)
+    full_gh = g_hat_terms(c.r, c.p, xt, xp, np.power(xp, c.p), c.p_minus_1)
     for j in range(n):
         s = slice(j, j + 1)
         cj = Curves._make(a[s] for a in c)
@@ -70,7 +73,8 @@ def test_rate_and_load_kernels_are_slice_invariant():
         assert xt_j[0] == full_rates[0][j] and x_j[0] == full_rates[1][j], j
         assert w_j[0] == full_rates[2][j], j
         assert g_terms(cj.r, cj.p, xt[s])[0] == full_g[j], j
-        assert g_hat_terms(cj.r, cj.p, xt[s], xp[s])[0] == full_gh[j], j
+        assert g_hat_terms(cj.r, cj.p, xt[s], xp[s], np.power(xp[s], cj.p),
+                           cj.p_minus_1)[0] == full_gh[j], j
 
 
 def test_sums_add_left_to_right():
@@ -83,16 +87,10 @@ def test_sums_add_left_to_right():
     assert np.array_equal(sums(index, weights, 20), np.array(expected))
 
 
-def crowded_config(net, utilities, price_lag, **kw):
-    return SolverConfig(**{"gamma": 1e-6, "epsilon": 1e-6, "max_iter": 3000, "mu0": 1e-4,
-                           "x0": recipe_x0(net, utilities), "price_lag": price_lag, **kw})
-
-
-@pytest.mark.parametrize("price_lag", ["fresh", "lagged"])
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_carried_loads_equal_fresh_kernels(scheduler, price_lag):
+def test_carried_loads_equal_fresh_kernels(scheduler):
     net, utilities = crowded_instance()
-    res = SCHEDULERS[scheduler](net, utilities, crowded_config(net, utilities, price_lag))
+    res = SCHEDULERS[scheduler](net, utilities, crowded_config(net, utilities))
     assert res.converged
     model = Model(net, utilities)
     prev = res.trace[0].x_tilde
@@ -119,7 +117,7 @@ def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
         calls.clear()
         # epsilon this small is never met in 40 iterations
         res = SCHEDULERS[scheduler](net, utilities, crowded_config(
-            net, utilities, "fresh", epsilon=1e-300, max_iter=max_iter))
+            net, utilities, epsilon=1e-300, max_iter=max_iter))
         assert res.iterations == max_iter
         counts.append(len(calls))
     assert counts[0] == counts[1]

@@ -134,5 +134,34 @@ def test_feasibility_reports_violations():
     assert cap_violation.excess == pytest.approx(210.0)
 
 
+@pytest.mark.parametrize("net", [
+    build_network([(1, 100.0)], [(1, (1,))]),
+    chain_network(),
+], ids=["single-source", "chain-3"])
+def test_nan_rates_are_infeasible(net):
+    bounds = [(1.0, 256.0)] * net.n_sources
+    rep = is_feasible(net, [math.nan] * net.n_sources, bounds, 0.5)
+    assert not rep.ok
+    assert [(v.kind, v.ident) for v in rep.violations] == (
+        [("bounds", sid) for sid in net.source_ids]
+        + [("capacity", lid) for lid in net.link_ids])
+
+
+def test_one_nan_rate_breaches_the_links_on_its_route():
+    net = chain_network()
+    x = [100.0, 100.0, math.nan, 100.0]  # source 3 crosses link 2 only
+    rep = is_feasible(net, x, [(1.0, 256.0)] * 4, 0.5)
+    assert [(v.kind, v.ident) for v in rep.violations] == [("bounds", 3), ("capacity", 2)]
+    assert all(math.isnan(v.excess) for v in rep.violations)
+
+
+def test_feasibility_needs_one_rate_per_source():
+    net = chain_network()
+    with pytest.raises(ValueError):
+        is_feasible(net, [100.0] * 3, [(1.0, 256.0)] * 4)
+    with pytest.raises(ValueError):
+        is_feasible(net, [100.0] * 5, [(1.0, 256.0)] * 4)
+
+
 def test_violation_is_value_object():
     assert Violation("bounds", 1, 2.0) == Violation("bounds", 1, 2.0)

@@ -223,6 +223,12 @@ def test_local_opt_infeasible_candidate():
         local_opt_test(net, utilities, np.array([150.0]))
 
 
+def test_local_opt_nan_candidate_is_infeasible():
+    net, utilities = capped_single_source(100.0)
+    with pytest.raises(InfeasibleCandidateError):
+        local_opt_test(net, utilities, np.array([np.nan]))
+
+
 def test_local_opt_deterministic_per_seed():
     net, utilities = capped_single_source(300.0)
     a = local_opt_test(net, utilities, np.array([200.0]), seed=99)

@@ -56,6 +56,12 @@ def test_built_ins_round_trip():
         assert config2 == config
 
 
+def test_round_trip_refuses_a_feas_tol_it_cannot_store():
+    net, utilities, config = load_scenario("chain-3")
+    with pytest.raises(ValueError, match="feas_tol"):
+        scenario_to_json(net, utilities, replace(config, feas_tol=0.1))
+
+
 def test_minimal_document_gets_defaults():
     net, utilities, config = parse_scenario(json.dumps(MINIMAL))
     assert net.n_links == 1 and net.n_sources == 1
@@ -179,9 +185,17 @@ def test_solver_field_validation():
         parse_scenario(json.dumps(doc))
     assert exc.value.path == "solver.max_iter"
 
-    doc["solver"] = {"price_lag": "stale"}
-    with pytest.raises(ScenarioValidationError):
+
+def test_price_lag_is_an_unknown_field(tmp_path):
+    # there is one price order; a document that still names one is rejected
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"price_lag": "fresh"}
+    with pytest.raises(ScenarioValidationError) as exc:
         parse_scenario(json.dumps(doc))
+    assert exc.value.path == "solver.price_lag"
+    path = tmp_path / "lag.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("key,value,path", [

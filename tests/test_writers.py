@@ -93,13 +93,20 @@ def scrambled_ids_model():
                                         x0=tuple(0.8 * u.r for u in utilities))
 
 
-@pytest.mark.parametrize("price_lag", ["fresh", "lagged"])
 @pytest.mark.parametrize("name", BUILT_INS)
-def test_writers_match_the_reference_on_built_ins(tmp_path, name, price_lag):
+def test_writers_match_the_reference_on_built_ins(tmp_path, name):
     net, utilities, config = load_scenario(name)
-    config = replace(config, price_lag=price_lag)
     res, log = run_to_convergence(net, utilities, config)
     assert math.isnan(res.trace[0].metric)
+    assert_writers_match(tmp_path, net, res.trace, log)
+
+
+def test_writers_match_the_reference_on_a_capped_run(tmp_path):
+    # a long trace cut by max_iter; at epsilon 1e-12 chain-3 stops after 189
+    net, utilities, config = load_scenario("chain-3")
+    res, log = run_to_convergence(net, utilities, replace(config, epsilon=1e-12,
+                                                          max_iter=150))
+    assert res.stop_reason == "max_iter" and len(res.trace) == 151
     assert_writers_match(tmp_path, net, res.trace, log)
 
 
