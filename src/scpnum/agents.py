@@ -9,17 +9,21 @@ Each agent is its segment of the engine's CSR incidence list
 its sources' reports (x̃, x̃_prev) in link order; source j owns x̃,
 x̃_prev, x and rho and a mailbox of its route's prices in route order,
 which it sums in the round they are delivered. Mailboxes are written
-only from the values of delivered messages. Each phase runs a kernel
-once over all agents; every output reads only its own agent's segment
-and the sums add each segment left to right, so the trace is
-bit-identical to ``engine.solve`` on the same inputs. The log
-(:class:`MessageLog`) keeps each phase as one block of value columns.
+only from the values of delivered messages, each filled by one gather
+from the senders' values: a price mailbox from mu (``mu[route_link]``),
+a link's reports from x̃ (``x̃[src]``). Each phase runs a kernel once
+over all agents; every output reads only its own agent's segment and
+the sums add each segment left to right, so the trace is bit-identical
+to ``engine.solve`` on the same inputs. A broadcast carries one value
+per sender, so the log (:class:`MessageLog`) keeps each phase as one
+block of the senders' values.
 
 Links sum their loads when the reports are delivered: the true load g
 and the tangent load ĝ of x̃ expanded at x̃_prev. What a link keeps of
-its mailbox is those two sums and each incidence's x̃**p, the first
-term of the next round's tangent; it prices against the stored ĝ in the
-next round.
+its mailbox is those two sums and, per incidence, the delivered x̃ and
+its x̃**p: the expansion point and the first term of the next round's
+tangent, so the x̃_prev of a report is the x̃ its link already holds.
+The link prices against the stored ĝ in the next round.
 
 The rounds are the step of the engine's driver loop
 (:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
@@ -80,21 +84,37 @@ class Message(NamedTuple):
 
 
 class MessageLog:
-    """Messages stored by column: one (round, kind, values, values_prev)
-    block per phase, its values float arrays of one entry per incidence
-    (``values_prev`` None for price updates). Blocks of a kind share
-    ``ends[kind]``, tuples of the network's sender and receiver ids in
-    emission order. Iterating yields :class:`Message` rows, one at a time.
+    """Messages stored per sender: one (round, kind, values, values_prev)
+    block per phase, whose float arrays hold one value per sending agent.
+    A price block holds the round's mu, one entry per link; a report
+    block holds the round's x̃ and the x̃ before it, one entry per source
+    (``values_prev`` is None for price updates). They are the arrays the
+    round produced, kept by reference: the same ones the trace rows hold.
+
+    Blocks of a kind share ``ends[kind]``, tuples of the network's sender
+    and receiver ids in emission order, and ``senders[kind]``, the index
+    of each message's sender into its block's values. :meth:`columns`
+    expands a block to one value per message; iterating yields
+    :class:`Message` rows, one at a time.
     """
 
-    def __init__(self, ends: dict, blocks: list):
-        self.ends, self.blocks = ends, blocks
+    def __init__(self, ends: dict, senders: dict, blocks: list):
+        self.ends, self.senders, self.blocks = ends, senders, blocks
 
     def __len__(self) -> int:
-        return sum(len(block[2]) for block in self.blocks)
+        return sum(len(self.senders[block[1]]) for block in self.blocks)
+
+    def columns(self, block) -> tuple:
+        """A block's (values, values_prev) with one entry per message, in
+        emission order; values_prev stays None on price updates."""
+        _, kind, values, values_prev = block
+        k = self.senders[kind]
+        return values[k], None if values_prev is None else values_prev[k]
 
     def __iter__(self):
-        for t, kind, values, values_prev in self.blocks:
+        for block in self.blocks:
+            t, kind = block[:2]
+            values, values_prev = self.columns(block)
             prev = [None] * len(values) if values_prev is None else values_prev.tolist()
             for row in zip(*self.ends[kind], values.tolist(), prev):
                 yield Message(t, kind, *row)
@@ -107,12 +127,11 @@ class Agents:
     ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x, rho
     and x̃**p per source; and per link the loads g and ĝ its agent summed
     from the last delivered reports. ``r``, ``p`` and ``p_minus_1`` are
-    each incidence's source constants in link order, and ``w`` is the report
-    mailbox: x̃**p of each incidence's last delivered report, in link
-    order (of the initial rates before the first delivery).
-    ``delivery`` is the inverse of the model's ``route``, which takes
-    route order to link order; ``ends`` holds the :class:`MessageLog` id
-    columns.
+    each incidence's source constants in link order. ``xt`` and ``w``
+    are the report mailbox, in link order: the x̃ of each incidence's
+    last delivered report and its x̃**p (of the initial rates before the
+    first delivery). ``ends`` and ``senders`` are the
+    :class:`MessageLog`'s per-kind id tuples and sender indices.
     """
 
     model: Model
@@ -120,26 +139,26 @@ class Agents:
     r: np.ndarray
     p: np.ndarray
     p_minus_1: np.ndarray
+    xt: np.ndarray
     w: np.ndarray
-    delivery: np.ndarray
     ends: dict
+    senders: dict
 
 
 def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
     """Every source reports (x̃, x̃_prev) to each link on its route, in
     (source, link id) order; the barrier delivers the reports and each
-    link sums its true and tangent loads from them. Returns the block
-    of reports and the links' loads (g, ĝ)."""
+    link sums its true and tangent loads from them, expanded at the x̃
+    of the report it holds from the round before, which is x̃_prev.
+    Returns the block of reports and the links' loads (g, ĝ)."""
     m = agents.model
-    block = (t, RATE_REPORT, x_tilde[m.route_src], x_tilde_prev[m.route_src])
-    # link-order slot k takes route-order report delivery[k]
-    xt, xt_prev = block[2][agents.delivery], block[3][agents.delivery]
+    xt = x_tilde[m.src]
     w = np.power(xt, agents.p)
     g = sums(m.link, agents.r * w, m.n_links)
-    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, xt_prev, agents.w,
+    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, agents.xt, agents.w,
                                     agents.p_minus_1), m.n_links)
-    agents.w = w
-    return block, g, ghat
+    agents.xt, agents.w = xt, w
+    return (t, RATE_REPORT, x_tilde, x_tilde_prev), g, ghat
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
@@ -155,15 +174,14 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     ends = {PRICE_UPDATE: (tuple(lid[model.link].tolist()), tuple(sid[model.src].tolist())),
             RATE_REPORT: (tuple(sid[model.route_src].tolist()),
                           tuple(lid[model.route_link].tolist()))}
-    delivery = np.empty_like(model.route)
-    delivery[model.route] = np.arange(len(model.route))
+    senders = {PRICE_UPDATE: model.link, RATE_REPORT: model.route_src}
     c = model.curves
     agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src],
-                    p_minus_1=c.p_minus_1[model.src], w=state.w[model.src],
-                    delivery=delivery, ends=ends)
+                    p_minus_1=c.p_minus_1[model.src], xt=state.x_tilde_prev[model.src],
+                    w=state.w[model.src], ends=ends, senders=senders)
     block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
     agents.state = replace(state, g=g, g_hat=ghat)
-    return agents, MessageLog(ends, [block])
+    return agents, MessageLog(ends, senders, [block])
 
 
 def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
@@ -178,17 +196,16 @@ def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
 
     # phase A: every link prices against the tangent load of its reports
     mu = price_step(s.mu, config.gamma, m.capacities, s.g_hat)
-    values = mu[m.link]
 
-    # barrier: the price mailboxes, route-order slot k from link-order row route[k]
-    prices = values[m.route]
+    # barrier: the price mailboxes, route-order slot k from link route_link[k]
+    prices = mu[m.route_link]
 
     # phase B: every source sums the prices just delivered and updates its rate
     rho = sums(m.route_src, prices, m.n_sources)
     xt, x, w = rates(m.curves, s.x_tilde, rho)
     block, g, ghat = _report(agents, t, xt, s.x_tilde)
     agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x, g, ghat, w)
-    return MessageLog(agents.ends, [(t, PRICE_UPDATE, values, None), block])
+    return MessageLog(agents.ends, agents.senders, [(t, PRICE_UPDATE, mu, None), block])
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):
@@ -214,11 +231,14 @@ def export_messages(log: MessageLog, path) -> None:
     empty on price updates, with the csv module's \\r\\n line ends.
 
     Each block is written whole: one format string per block, applied
-    to its kind's id columns zipped with its value columns.
+    to its kind's id columns zipped with its value columns, expanded to
+    one entry per message.
     """
     with open(path, "w", newline="") as fh:
         fh.write("round,kind,sender,receiver,value,value_prev\r\n")
-        for t, kind, values, values_prev in log.blocks:
+        for block in log.blocks:
+            t, kind = block[:2]
+            values, values_prev = log.columns(block)
             if values_prev is None:
                 fmt = f"{t},{kind},%d,%d,%.17g,\r\n"
                 rows = zip(*log.ends[kind], values.tolist())
@@ -247,6 +267,11 @@ def audit_locality(net: Network, messages) -> list[Message]:
         return [m for m in messages if not local(m.kind, m.sender, m.receiver)]
     stray = {kind: [k for k, pair in enumerate(zip(*ends)) if not local(kind, *pair)]
              for kind, ends in messages.ends.items()}
-    return [Message(t, kind, messages.ends[kind][0][k], messages.ends[kind][1][k],
-                    float(values[k]), None if values_prev is None else float(values_prev[k]))
-            for t, kind, values, values_prev in messages.blocks for k in stray[kind]]
+    found = []
+    for t, kind, values, values_prev in messages.blocks:
+        (from_ids, to_ids), index = messages.ends[kind], messages.senders[kind]
+        for k in stray[kind]:
+            j = index[k]
+            found.append(Message(t, kind, from_ids[k], to_ids[k], float(values[j]),
+                                 None if values_prev is None else float(values_prev[j])))
+    return found

@@ -152,7 +152,7 @@ def _trace_deviation(trace_a, trace_b) -> float:
 
 def write_equivalence(path: Path, net: Network, res_e: AllocationResult,
                       res_a: AllocationResult, messages: MessageLog) -> float:
-    per_round = sum(len(values) for t, _, values, _ in messages.blocks if t == 1)
+    per_round = sum(len(messages.senders[kind]) for t, kind, _, _ in messages.blocks if t == 1)
     violations = audit_locality(net, messages)
     dev = (_trace_deviation(res_e.trace, res_a.trace)
            if res_e.iterations == res_a.iterations else float("inf"))

@@ -39,8 +39,8 @@ are bitwise-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -93,7 +93,8 @@ class SolverConfig:
     epsilon
         Stopping tolerance on max per-source rate change, Kbps.
     max_iter
-        Iteration cap.
+        Iteration cap, an integer >= 1 (a Python or numpy integer, not a
+        bool).
     mu0
         Initial link price, scalar or per-link sequence, >= 0.
     x0
@@ -121,6 +122,9 @@ class SolverConfig:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # range() needs an integer; a bool is not a count
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.feas_tol < 0.0:
@@ -293,27 +297,17 @@ def steady(g, ghat, capacities, tol: float) -> bool:
 
 
 class Incidence:
-    """A network's routing as kernel inputs.
-
-    ``link``/``src`` is the CSR incidence list: one entry per (link,
-    source) pair, sorted by link index and then by ascending source id.
-    ``route`` lists the same entries in route order (by source, then
-    ascending link id), and ``route_link``/``route_src`` are the pairs in
-    that order, for the path-price sums.
+    """A network's routing as kernel inputs: the read-only arrays of its
+    :class:`~scpnum.network.IncidenceArrays` (the CSR incidence list
+    ``link``/``src`` and its route order ``route_link``/``route_src``),
+    which are built once per network, and the link-sum and path-price
+    kernels over them.
     """
 
     def __init__(self, net: Network):
         self.n_links = net.n_links
         self.n_sources = net.n_sources
-        self.capacities = np.array(net.capacities, dtype=float)
-        self.link = np.repeat(np.arange(net.n_links, dtype=np.intp),
-                              [len(on) for on in net.sources_on_link])
-        self.src = np.fromiter(map(net.source_index.__getitem__,
-                                   chain.from_iterable(net.sources_on_link)),
-                               dtype=np.intp, count=net.nnz)
-        self.route = np.argsort(self.src, kind="stable")
-        self.route_src = self.src[self.route]
-        self.route_link = self.link[self.route]
+        self.capacities, self.link, self.src, self.route_link, self.route_src = net.incidence
 
     def link_sums(self, per_source) -> np.ndarray:
         return sums(self.link, per_source[self.src], self.n_links)
@@ -324,7 +318,8 @@ class Incidence:
 
 
 class Model(Incidence):
-    """An Incidence plus its sources' Curves, built once per solve."""
+    """An Incidence, whose arrays are built once per network, plus its
+    sources' Curves, built once per solve."""
 
     def __init__(self, net: Network, utilities):
         if len(utilities) != net.n_sources:

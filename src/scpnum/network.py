@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Network",
+    "IncidenceArrays",
     "FeasibilityReport",
     "Violation",
     "build_network",
@@ -40,6 +44,37 @@ class UnknownLinkError(ValueError):
 
 class NonPositiveCapacityError(ValueError):
     """A link capacity is zero or negative."""
+
+
+class IncidenceArrays(NamedTuple):
+    """A network's routing as read-only arrays.
+
+    ``link``/``src`` is the CSR incidence list: one entry per (link,
+    source) pair as link and source indices, sorted by link index and
+    then by ascending source id. ``route_link``/``route_src`` are the
+    same pairs in route order (by source, then ascending link id).
+    ``capacities`` is aligned with the link ids.
+    """
+
+    capacities: np.ndarray
+    link: np.ndarray
+    src: np.ndarray
+    route_link: np.ndarray
+    route_src: np.ndarray
+
+
+def _incidence_arrays(net: Network) -> IncidenceArrays:
+    link = np.repeat(np.arange(net.n_links, dtype=np.intp),
+                     [len(on) for on in net.sources_on_link])
+    src = np.fromiter(map(net.source_index.__getitem__,
+                          chain.from_iterable(net.sources_on_link)),
+                      dtype=np.intp, count=net.nnz)
+    route = np.argsort(src, kind="stable")
+    arrays = IncidenceArrays(np.array(net.capacities, dtype=float), link, src,
+                             link[route], src[route])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -82,6 +117,16 @@ class Network:
     def nnz(self) -> int:
         """Number of (link, source) incidences."""
         return sum(len(r) for r in self.routes)
+
+    @cached_property
+    def incidence(self) -> IncidenceArrays:
+        """The routing as read-only index arrays, derived on first use
+        and kept for the life of the network. Equality and pickling see
+        only the fields above."""
+        return _incidence_arrays(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "incidence"}
 
     def routing_matrix(self) -> np.ndarray:
         """Dense 0/1 incidence matrix, shape (n_links, n_sources)."""

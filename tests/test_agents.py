@@ -142,6 +142,23 @@ def test_message_log_follows_the_trace(name):
             assert m.value_prev == prev.x_tilde[j]
 
 
+def test_log_blocks_are_the_rounds_own_arrays():
+    # a broadcast is logged once per sender, by reference to what the
+    # round produced: the arrays its trace row holds
+    net, utilities, config = load_scenario("chain-3")
+    res, log = run_to_convergence(net, utilities, config)
+    trace = res.trace
+    prices = [b for b in log.blocks if b[1] == PRICE_UPDATE]
+    reports = [b for b in log.blocks if b[1] == RATE_REPORT]
+    assert [b[0] for b in prices] == list(range(1, res.iterations + 1))
+    assert [b[0] for b in reports] == list(range(res.iterations + 1))
+    for t, _, values, values_prev in prices:
+        assert values is trace[t].mu and values_prev is None
+    for t, _, values, values_prev in reports:
+        assert values is trace[t].x_tilde
+        assert values_prev is trace[max(t - 1, 0)].x_tilde
+
+
 def test_locality_audit_flags_unrouted_pairs():
     net, utilities, config = load_scenario("chain-3")
     _, log = run_to_convergence(net, utilities, config)
@@ -221,3 +238,27 @@ def test_message_log_memory_is_bounded():
         tracemalloc.stop()
     assert len(log) == net.nnz * (2 * config.max_iter + 1) == 41000
     assert retained <= 32 * len(log), f"{retained / len(log):.1f} B per message"
+
+
+def test_message_log_keeps_one_value_per_sender():
+    # the instance above: each block keeps a reference to the round's mu
+    # (20 links) or x̃ (250 sources), not one value per message, so the
+    # log alone keeps at most 4 B of each of its 41000 messages
+    n_links, n_sources = 20, 250
+    u = SCurveUtility(r=256.0, c1=6.0, c2=4.0)
+    net = build_network([(lid, 1.6 * 50 * inflection_point(u)) for lid in range(1, n_links + 1)],
+                        [(sid, tuple((sid + k) % n_links + 1 for k in range(4)))
+                         for sid in range(1, n_sources + 1)])
+    config = SolverConfig(gamma=3e-7, epsilon=1e-3, max_iter=20, mu0=1e-5,
+                          x0=(180.0,) * n_sources)
+    net.incidence  # the network's own arrays, built once per network
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res, log = run_to_convergence(net, (u,) * n_sources, config)
+        del res
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 41000
+    assert retained <= 4 * len(log), f"{retained / len(log):.1f} B per message"

@@ -287,6 +287,19 @@ def test_solver_config_rejects_nonfinite(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "10", None, np.float64(4.0)])
+def test_solver_config_rejects_a_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_solver_config_takes_python_and_numpy_integers(max_iter):
+    net, utilities, config = load_scenario("chain-3")
+    res = solve(net, utilities, replace(config, max_iter=max_iter))
+    assert res.stop_reason == "max_iter" and len(res.trace) == 4
+
+
 def test_solve_validates_state_shapes():
     net, utilities = single_link_model()
     with pytest.raises(ValueError):

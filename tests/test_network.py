@@ -1,20 +1,26 @@
 """Topology assembly, routing structure, and feasibility checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import scpnum.network
 from scpnum import (
     DuplicateIdError,
     EmptyRouteError,
     NonPositiveCapacityError,
     UnknownLinkError,
     Violation,
+    build_agents,
     build_network,
     is_feasible,
     link_load,
+    load_scenario,
+    solve,
 )
+from scpnum.engine import Model
 
 
 def shared_link_network():
@@ -165,3 +171,52 @@ def test_feasibility_needs_one_rate_per_source():
 
 def test_violation_is_value_object():
     assert Violation("bounds", 1, 2.0) == Violation("bounds", 1, 2.0)
+
+
+def test_incidence_is_built_once_per_network(monkeypatch):
+    net, utilities, config = load_scenario("chain-3")
+    built = []
+    arrays = scpnum.network._incidence_arrays
+
+    def counting(n):
+        built.append(n)
+        return arrays(n)
+
+    monkeypatch.setattr(scpnum.network, "_incidence_arrays", counting)
+    solve(net, utilities, config)
+    solve(net, utilities, config)
+    agents, _ = build_agents(net, utilities, config)
+    assert len(built) == 1 and built[0] is net
+    assert agents.model.src is net.incidence.src
+
+
+def test_incidence_arrays_are_read_only():
+    net = chain_network()
+    model = Model(net, load_scenario("chain-3")[1])
+    for a in (*net.incidence, model.capacities, model.link, model.route_src):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_equal_networks_keep_their_own_incidence():
+    a, b = chain_network(), chain_network()
+    assert a == b
+    for x, y in zip(a.incidence, b.incidence):
+        assert x is not y and np.array_equal(x, y)
+    # link-major CSR order and its route-order permutation
+    assert a.incidence.link.tolist() == [0, 0, 1, 1, 2, 2]
+    assert a.incidence.src.tolist() == [0, 1, 0, 2, 0, 3]
+    assert a.incidence.route_link.tolist() == [0, 1, 2, 0, 1, 2]
+    assert a.incidence.route_src.tolist() == [0, 0, 0, 1, 2, 3]
+
+
+def test_cached_incidence_leaves_equality_and_pickling_unchanged():
+    net = chain_network()
+    fresh = pickle.dumps(net)
+    net.incidence
+    assert net == chain_network()
+    assert pickle.dumps(net) == fresh
+    back = pickle.loads(fresh)
+    assert back == net and "incidence" not in vars(back)
+    assert np.array_equal(back.incidence.src, net.incidence.src)
+    assert not back.incidence.src.flags.writeable
