@@ -170,10 +170,7 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     """
     model = Model(net, utilities)
     state = model.initial_state(config)
-    lid, sid = np.array(net.link_ids, dtype=object), np.array(net.source_ids, dtype=object)
-    ends = {PRICE_UPDATE: (tuple(lid[model.link].tolist()), tuple(sid[model.src].tolist())),
-            RATE_REPORT: (tuple(sid[model.route_src].tolist()),
-                          tuple(lid[model.route_link].tolist()))}
+    ends = dict(zip((PRICE_UPDATE, RATE_REPORT), net.incidence_ids))
     senders = {PRICE_UPDATE: model.link, RATE_REPORT: model.route_src}
     c = model.curves
     agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src],

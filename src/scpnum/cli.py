@@ -16,6 +16,7 @@ local-optimality test, writing validation.txt.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -262,7 +263,7 @@ def cmd_validate(args) -> int:
         f"sources: {net.n_sources}  links: {net.n_links}",
         "",
         f"engine: converged={str(res.converged).lower()} iterations={res.iterations} "
-        f"runtime_s={engine_time:.3f}",
+        f"stop_reason={res.stop_reason} runtime_s={engine_time:.3f}",
         f"engine rates (Kbps): {np.array2string(res.x, precision=4)}",
         f"engine aggregate utility: {util_engine:.10f}",
         "",
@@ -278,7 +279,7 @@ def cmd_validate(args) -> int:
         f"seed {seed}): passed={str(report.passed).lower()} "
         f"feasible_samples={report.samples_feasible} best_gain={report.best_gain: .3e}",
         f"polish: converged={str(polished.converged).lower()} "
-        f"iterations={polished.iterations}",
+        f"iterations={polished.iterations} stop_reason={polished.stop_reason}",
         "",
         verdict_line,
     ]
@@ -326,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use and reused: parsing
+    leaves it unchanged, and building it costs about ten parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

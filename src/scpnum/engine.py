@@ -258,7 +258,8 @@ def g_hat_terms(r, p, xt, xt_prev, w_prev, p_minus_1):
     NonPositiveExpansionPointError
         If any expansion component is <= 0.
     """
-    if (xt_prev <= 0.0).any():
+    # fmin skips NaN, so a NaN entry passes as it does an elementwise test
+    if np.fmin.reduce(xt_prev, initial=np.inf) <= 0.0:
         raise NonPositiveExpansionPointError(
             f"expansion points must be > 0, got {np.min(xt_prev)}")
     return r * (w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev))
@@ -401,7 +402,7 @@ def iterate(model: Model, state: IterateState, config: SolverConfig,
     converged = False
     for t in range(1, config.max_iter + 1):
         new = step(state)
-        metric = float(np.abs(new.x - state.x).max(initial=0.0))
+        metric = float(np.maximum.reduce(np.abs(new.x - state.x), initial=0.0))
         trace.append(TraceRecord(t, new.x, new.x_tilde, new.mu, new.rho, metric,
                                  new.g, new.g_hat))
         state = new

@@ -77,6 +77,14 @@ def _incidence_arrays(net: Network) -> IncidenceArrays:
     return arrays
 
 
+def _incidence_ids(net: Network) -> tuple:
+    inc = net.incidence
+    lid = np.array(net.link_ids, dtype=object)
+    sid = np.array(net.source_ids, dtype=object)
+    return ((tuple(lid[inc.link].tolist()), tuple(sid[inc.src].tolist())),
+            (tuple(sid[inc.route_src].tolist()), tuple(lid[inc.route_link].tolist())))
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable routing topology.
@@ -125,8 +133,16 @@ class Network:
         only the fields above."""
         return _incidence_arrays(self)
 
+    @cached_property
+    def incidence_ids(self) -> tuple:
+        """The incidences as ids, derived on first use and kept like
+        ``incidence``: (link ids, source ids) in CSR order, then
+        (source ids, link ids) in route order, each a tuple of ints."""
+        return _incidence_ids(self)
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "incidence"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("incidence", "incidence_ids")}
 
     def routing_matrix(self) -> np.ndarray:
         """Dense 0/1 incidence matrix, shape (n_links, n_sources)."""

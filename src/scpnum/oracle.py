@@ -10,10 +10,9 @@ convexity.
 
 from __future__ import annotations
 
-import operator
+import math
 import os
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -114,22 +113,28 @@ def perturbation_seed() -> int:
     return int(raw) if raw else DEFAULT_PERTURBATION_SEED
 
 
-def _all(masks):
-    """Elementwise AND of an iterable of broadcastable boolean arrays."""
-    return reduce(operator.and_, masks)
+def _front(buf, shape):
+    """The first prod(shape) elements of the contiguous buffer buf, viewed
+    with that shape: room for an array no larger than buf."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
+def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent, buffers):
     """Scan one grid; returns (best_x, best_u) carrying the incumbent forward.
 
     The first axis is scanned slice by slice and the remaining axes are
-    broadcast, which keeps memory at points**(S-1). Every tail sum
-    starts from a 0-d zero and runs in source order, so a link that no
-    tail source crosses gives a 0-d mask and a single source gives a
-    0-d utility with an empty tail index. ``build_network`` guarantees
-    S >= 1, L >= 1 and a link on every route, so a slice's feasibility
-    mask spans every tail axis. Within a slice the first-found argmax
-    (C order) wins.
+    broadcast, which keeps memory at points**(S-1). ``buffers`` holds the
+    scan's four arrays of that shape, which the caller allocates once
+    for all its passes: the tail utility sum, one slice's utilities, the
+    slice's feasibility mask and its complement. They are filled in
+    place, so a pass and a slice create no array of that size.
+
+    Every tail sum starts from a 0-d zero and runs in source order, so a
+    link that no tail source crosses gives a 0-d load and a single
+    source gives 0-d buffers with an empty tail index. ``build_network``
+    guarantees S >= 1, L >= 1 and a link on every route, so the links'
+    masks together span every tail axis. Within a slice the first-found
+    argmax (C order) wins.
 
     Bound: slice x0 gets U0(x0) + sum_j max U_j, where the max for tail
     source j runs over its grid values that pass every link mask while
@@ -148,6 +153,7 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
     that of scanning every slice in index order: the lexicographically
     first best point, or the incoming incumbent if none beats it.
     """
+    util_tail, u_here, feas, infeas = buffers
     axes = np.meshgrid(*grids[1:], indexing="ij", sparse=True)
     zero = np.zeros(())
     # per link: whether source 1 crosses it, the load of sources 2..S, the capacity
@@ -158,13 +164,26 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
 
     tail_shape = tuple(len(g) for g in grids[1:])
 
-    def fits(x0, at=None):
+    def fits(x0, at=None, into=None):
         """Whether every link holds with the first source at x0 and the
-        tail sources on the whole tail grid, or on its nodes ``at``."""
-        return _all((x0 if first else 0.0)
-                    + (tail if at is None else np.broadcast_to(tail, tail_shape)[at])
-                    <= cap + feas_tol
-                    for first, tail, cap in link_tails)
+        tail sources on the whole tail grid, or on its nodes ``at``.
+
+        With ``into``, the whole grid's answer is written into that mask:
+        the first link's test fills it and every other link's is ANDed
+        in. Until then u_here and infeas are free, and their fronts hold
+        one link's loads and test."""
+        mask = None
+        for first, tail, cap in link_tails:
+            if at is not None:
+                tail = np.broadcast_to(tail, tail_shape)[at]
+            load_room = test_room = None
+            if into is not None:
+                load_room = _front(u_here, tail.shape)
+                test_room = into if mask is None else _front(infeas, tail.shape)
+            test = np.less_equal(np.add(x0 if first else 0.0, tail, out=load_room),
+                                 cap + feas_tol, out=test_room)
+            mask = test if mask is None else np.logical_and(mask, test, out=into)
+        return mask
 
     def line(a):
         """Tail source a's nodes, every other tail source at its lowest."""
@@ -178,19 +197,20 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
     bound = np.where(fits(grids[0], (0,) * len(tail_shape)),
                      np.array(first_u) + sum(tail_max, zero), -np.inf)
 
-    util_tail = sum((v.reshape(ax.shape) for v, ax in zip(tail_u, axes)), zero)
-    u_here = np.empty_like(util_tail)  # one slice's utilities, reused by every slice
+    # the tail utilities summed from zero in source order, the last
+    # addition into util_tail (with one source, zero + zero)
+    *head, last = [zero, *(v.reshape(ax.shape) for v, ax in zip(tail_u, axes))]
+    np.add(sum(head, zero), last, out=util_tail)
     best_x, best_u = incumbent
     best_i = -1  # slice of this pass that holds the incumbent; -1 keeps an incoming one on ties
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] == -np.inf or best_u is not None and bound[i] < best_u:
             break
         x0 = grids[0][i]
-        feas = fits(x0)
-        if not feas.any():
+        if not fits(x0, into=feas).any():
             continue
         np.add(first_u[i], util_tail, out=u_here)
-        u_here[~feas] = -np.inf
+        u_here[np.logical_not(feas, out=infeas)] = -np.inf
         flat = int(np.argmax(u_here))
         cand_u = float(u_here.flat[flat])
         if best_u is None or cand_u > best_u or cand_u == best_u and i < best_i:
@@ -217,6 +237,10 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     ``evaluations`` still counts points_per_dim**S points per pass: each
     point is certified either by the scan or by its slice's bound.
 
+    The scan's four arrays of points_per_dim**(S-1) entries are
+    allocated once per call, and every pass and slice fills them in
+    place.
+
     Raises
     ------
     BudgetExceededError
@@ -242,11 +266,14 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     highs = np.array([u.big_m for u in utilities])
     widths = highs - lows
 
+    tail = (n,) * (S - 1)
+    buffers = (np.empty(tail), np.empty(tail), np.empty(tail, dtype=bool),
+               np.empty(tail, dtype=bool))
     best = (None, None)
     evals = 0
     for p in range(spec.refinement_passes + 1):
         grids = [np.linspace(lows[j], highs[j], n) for j in range(S)]
-        best = _best_on_grid(net, utilities, grids, spec.feas_tol, best)
+        best = _best_on_grid(net, utilities, grids, spec.feas_tol, best, buffers)
         evals += n ** S
         if best[1] is None:
             raise NoFeasiblePointError("no feasible grid point (is capacity below total minimum rate?)")

@@ -239,6 +239,11 @@ def _model_from_doc(doc: dict):
             raise ScenarioValidationError(
                 f"{spath}.x0", f"expected list of {net.n_sources} rates")
         kwargs["x0"] = tuple(_number(v, f"{spath}.x0[{i}]") for i, v in enumerate(val))
+        for i, (x, u) in enumerate(zip(kwargs["x0"], utils)):
+            if not u.m <= x <= u.big_m:
+                raise ScenarioValidationError(
+                    f"{spath}.x0[{i}]", f"rate {x:g} outside the source's window "
+                                        f"[{u.m:g}, {u.big_m:g}] Kbps")
     try:
         config = SolverConfig(**kwargs)
     except ValueError as exc:

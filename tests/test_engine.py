@@ -82,6 +82,16 @@ def test_g_hat_rejects_nonpositive_expansion():
             g_hat(net, utilities, np.array([0.5]), np.array([bad]), 1)
 
 
+def test_g_hat_terms_expansion_check_on_nan():
+    # an elementwise test: a NaN entry passes it, and a nonpositive entry
+    # beside a NaN still fails it
+    one = np.ones(2)
+    assert np.isnan(g_hat_terms(one, one, one, np.array([np.nan, 0.5]), one, one)[0])
+    for bad in ([np.nan, -0.25], [0.0, np.nan]):
+        with pytest.raises(NonPositiveExpansionPointError):
+            g_hat_terms(one, one, one, np.array(bad), one, one)
+
+
 def test_rate_step_interior_stationarity():
     # at an interior update the transformed-utility slope equals the
     # path price times the tangent-load slope at the expansion point

@@ -20,6 +20,7 @@ from scpnum import (
     load_scenario,
     solve,
 )
+from scpnum.agents import PRICE_UPDATE, RATE_REPORT
 from scpnum.engine import Model
 
 
@@ -190,6 +191,23 @@ def test_incidence_is_built_once_per_network(monkeypatch):
     assert agents.model.src is net.incidence.src
 
 
+def test_incidence_ids_are_built_once_per_network(monkeypatch):
+    net, utilities, config = load_scenario("chain-3")
+    built = []
+    ids = scpnum.network._incidence_ids
+
+    def counting(n):
+        built.append(n)
+        return ids(n)
+
+    monkeypatch.setattr(scpnum.network, "_incidence_ids", counting)
+    first, _ = build_agents(net, utilities, config)
+    second, _ = build_agents(net, utilities, config)
+    assert len(built) == 1 and built[0] is net
+    assert first.ends[PRICE_UPDATE] is second.ends[PRICE_UPDATE] is net.incidence_ids[0]
+    assert first.ends[RATE_REPORT] is net.incidence_ids[1]
+
+
 def test_incidence_arrays_are_read_only():
     net = chain_network()
     model = Model(net, load_scenario("chain-3")[1])
@@ -218,5 +236,12 @@ def test_cached_incidence_leaves_equality_and_pickling_unchanged():
     assert pickle.dumps(net) == fresh
     back = pickle.loads(fresh)
     assert back == net and "incidence" not in vars(back)
+    net.incidence_ids
+    assert net == chain_network()
+    assert pickle.dumps(net) == fresh
+    assert "incidence_ids" not in vars(pickle.loads(pickle.dumps(net)))
+    # CSR order (link, source) and route order (source, link), as ids
+    assert net.incidence_ids == (((1, 1, 2, 2, 3, 3), (1, 2, 1, 3, 1, 4)),
+                                 ((1, 1, 1, 2, 3, 4), (1, 2, 3, 1, 2, 3)))
     assert np.array_equal(back.incidence.src, net.incidence.src)
     assert not back.incidence.src.flags.writeable

@@ -140,6 +140,14 @@ BRUTE_FORCE_CASES = {
     # the first pass ends on the plateau at 128 Kbps; the refined grid
     # reaches the plateau at lower rates, which tie and must not win
     "refinement-tie": ([(1, 300.3)], [(1, (1,))], (PLATEAU,), 12, 2),
+    # every pass of a grid_search call refills the same scan buffers:
+    # 0-d ones for one source, 1-d ones for two, and for four sources on
+    # one link 3-d ones whose feasible set in a refined pass differs from
+    # the first pass's at the same positions
+    "one-source-refined": ([(1, 97.3)], [(1, (1,))], S_CURVES[2:], 9, 2),
+    "two-sources-refined": ([(1, 250.3)], [(1, (1,)), (2, (1,))], S_CURVES[:2], 8, 2),
+    "shared-link-refined": ([(1, 700.3)], [(s, (1,)) for s in range(1, 5)],
+                            S_CURVES + (SCurveUtility(r=224.0, c1=5.5, c2=3.0),), 6, 2),
 }
 
 

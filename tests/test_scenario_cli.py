@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -214,6 +215,27 @@ def test_solver_list_entries_must_be_numbers(key, value, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("x0", [1000.0, 0.5])
+def test_x0_outside_rate_window_rejected(x0):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"x0": [x0]}
+    with pytest.raises(ScenarioValidationError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == "solver.x0[0]"
+    assert "[1, 256]" in str(exc.value)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("x0", [1000.0, 0.5])
+def test_cli_rejects_x0_outside_rate_window(tmp_path, capsys, command, x0):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"x0": [x0]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "solver.x0[0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [("x0", ["abc"]), ("mu0", [None])])
 def test_cli_run_rejects_non_number_list_entry(tmp_path, key, value):
     doc = json.loads(json.dumps(MINIMAL))
@@ -354,6 +376,24 @@ def test_cli_run_reports_stop_reason(tmp_path, capsys, scenario, reason, code):
     assert f"stop_reason={reason}," in capsys.readouterr().out
     result = (tmp_path / "out" / "result.txt").read_text().splitlines()
     assert f"stop_reason: {reason}" in result
+
+
+def test_cli_validate_reports_stop_reason(tmp_path):
+    # two sources on a link of about twice their knee sum, started high
+    # enough in price that the engine collapses to x = (1, 1)
+    source = {"r_kbps": 256.0, "c1": 6.0, "c2": 2.0, "route": [1]}
+    doc = {"links": [{"id": 1, "capacity_kbps": 300.0}],
+           "sources": [{"id": 1, **source}, {"id": 2, **source}],
+           "solver": {"gamma": 1e-4, "epsilon": 1e-6, "mu0": 0.1}}
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(doc))
+    main(["validate", str(path), "--out", str(tmp_path)])
+    lines = (tmp_path / "validation.txt").read_text().splitlines()
+    engine = next(line for line in lines if line.startswith("engine: "))
+    polish_line = next(line for line in lines if line.startswith("polish: "))
+    assert re.match(r"engine: converged=true iterations=\d+ stop_reason=collapsed ", engine)
+    assert re.fullmatch(r"polish: converged=true iterations=\d+ stop_reason=collapsed",
+                        polish_line)
 
 
 def test_cli_validate_single_source(tmp_path):
