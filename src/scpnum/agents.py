@@ -4,17 +4,21 @@ Link agents own prices, source agents own rates, and all cross-agent
 state moves through explicit messages in synchronous two-phase rounds:
 links update and announce prices, then sources update and report rates.
 
-Each agent is its segment of the engine's CSR incidence list
+Each agent owns its pairs of the engine's incidence list
 (:class:`scpnum.engine.Incidence`): link i owns mu[i] and a mailbox of
-its sources' reports (x̃, x̃_prev) in link order; source j owns x̃,
-x̃_prev, x and rho and a mailbox of its route's prices in route order,
-which it sums in the round they are delivered. Mailboxes are written
-only from the values of delivered messages, each filled by one gather
-from the senders' values: a price mailbox from mu (``mu[route_link]``),
-a link's reports from x̃ (``x̃[src]``). Each phase runs a kernel once
-over all agents; every output reads only its own agent's segment and
-the sums add each segment left to right, so the trace is bit-identical
-to ``engine.solve`` on the same inputs. A broadcast carries one value
+its sources' reports (x̃, x̃_prev); source j owns x̃, x̃_prev, x and
+rho and a mailbox of its route's prices in route order, which it sums
+in the round they are delivered. The report mailboxes are laid out in
+rank-major order (``rank_link``/``rank_src``): every link's first
+slot, then every link's second, and so on, so a link's slots are
+interleaved with those of other links, and each link still adds its
+reports in ascending source order. Mailboxes are written only from the
+values of delivered messages, each filled by one gather from the
+senders' values: a price mailbox from mu (``mu[route_link]``), the
+reports from x̃ (``x̃[rank_src]``). Each phase runs a kernel once over
+all agents; every output reads only its own agent's slots and the sums
+add each agent's slots in that order, so the trace is bit-identical to
+``engine.solve`` on the same inputs. A broadcast carries one value
 per sender, so the log (:class:`MessageLog`) keeps each phase as one
 block of the senders' values.
 
@@ -127,10 +131,10 @@ class Agents:
     ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x, rho
     and x̃**p per source; and per link the loads g and ĝ its agent summed
     from the last delivered reports. ``r``, ``p`` and ``p_minus_1`` are
-    each incidence's source constants in link order. ``xt`` and ``w``
-    are the report mailbox, in link order: the x̃ of each incidence's
-    last delivered report and its x̃**p (of the initial rates before the
-    first delivery). ``ends`` and ``senders`` are the
+    each incidence's source constants in rank-major order. ``xt`` and
+    ``w`` are the report mailbox, in rank-major order: the x̃ of each
+    incidence's last delivered report and its x̃**p (of the initial
+    rates before the first delivery). ``ends`` and ``senders`` are the
     :class:`MessageLog`'s per-kind id tuples and sender indices.
     """
 
@@ -152,11 +156,11 @@ def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
     of the report it holds from the round before, which is x̃_prev.
     Returns the block of reports and the links' loads (g, ĝ)."""
     m = agents.model
-    xt = x_tilde[m.src]
+    xt = x_tilde[m.rank_src]
     w = np.power(xt, agents.p)
-    g = sums(m.link, agents.r * w, m.n_links)
-    ghat = sums(m.link, g_hat_terms(agents.r, agents.p, xt, agents.xt, agents.w,
-                                    agents.p_minus_1), m.n_links)
+    g = sums(m.rank_link, agents.r * w, m.n_links)
+    ghat = sums(m.rank_link, g_hat_terms(agents.r, agents.p, xt, agents.xt, agents.w,
+                                         agents.p_minus_1), m.n_links)
     agents.xt, agents.w = xt, w
     return (t, RATE_REPORT, x_tilde, x_tilde_prev), g, ghat
 
@@ -173,9 +177,9 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     ends = dict(zip((PRICE_UPDATE, RATE_REPORT), net.incidence_ids))
     senders = {PRICE_UPDATE: model.link, RATE_REPORT: model.route_src}
     c = model.curves
-    agents = Agents(model, state, r=c.r[model.src], p=c.p[model.src],
-                    p_minus_1=c.p_minus_1[model.src], xt=state.x_tilde_prev[model.src],
-                    w=state.w[model.src], ends=ends, senders=senders)
+    slot = model.rank_src
+    agents = Agents(model, state, r=c.r[slot], p=c.p[slot], p_minus_1=c.p_minus_1[slot],
+                    xt=state.x_tilde_prev[slot], w=state.w[slot], ends=ends, senders=senders)
     block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
     agents.state = replace(state, g=g, g_hat=ghat)
     return agents, MessageLog(ends, senders, [block])

@@ -241,7 +241,9 @@ def cmd_validate(args) -> int:
               file=sys.stderr)
         return 2
     oracle_time = time.perf_counter() - t0
-    gap = util_engine - oracle.utility
+    # both sides summed in total_utility's order, not the scan's own
+    util_oracle = total_utility(utilities, oracle.x)
+    gap = util_engine - util_oracle
     utility_ok = abs(gap) <= 1e-3
 
     # only a machine-precision fixed point can survive the sampled
@@ -271,7 +273,7 @@ def cmd_validate(args) -> int:
         f"evaluations={oracle.evaluations} resolution_kbps={oracle.resolution:.6f} "
         f"runtime_s={oracle_time:.3f}",
         f"oracle rates (Kbps): {np.array2string(oracle.x, precision=4)}",
-        f"oracle aggregate utility: {oracle.utility:.10f}",
+        f"oracle aggregate utility: {util_oracle:.10f}",
         "",
         f"utility gap (engine - oracle): {gap: .6e}  (|gap| <= 1e-3: "
         f"{str(utility_ok).lower()})",

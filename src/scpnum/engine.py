@@ -32,7 +32,7 @@ steady test and the next price step's input alike.
 schedulers over one driver loop, :func:`iterate`, which owns the
 stopping test, the trace and the result. The engine steps all
 sources at once, the agents run one message round in which each link
-and source is its own segment of the incidence list, and the two traces
+and source owns its pairs of the incidence list, and the two traces
 are bitwise-identical.
 """
 
@@ -300,18 +300,21 @@ def steady(g, ghat, capacities, tol: float) -> bool:
 class Incidence:
     """A network's routing as kernel inputs: the read-only arrays of its
     :class:`~scpnum.network.IncidenceArrays` (the CSR incidence list
-    ``link``/``src`` and its route order ``route_link``/``route_src``),
-    which are built once per network, and the link-sum and path-price
-    kernels over them.
+    ``link``/``src``, its route order ``route_link``/``route_src`` and
+    its rank-major order ``rank_link``/``rank_src``), which are built
+    once per network, and the link-sum and path-price kernels over them.
+    Link sums run in rank-major order: each link still adds its terms in
+    ascending source order.
     """
 
     def __init__(self, net: Network):
         self.n_links = net.n_links
         self.n_sources = net.n_sources
-        self.capacities, self.link, self.src, self.route_link, self.route_src = net.incidence
+        (self.capacities, self.link, self.src, self.route_link, self.route_src,
+         self.rank_link, self.rank_src) = net.incidence
 
     def link_sums(self, per_source) -> np.ndarray:
-        return sums(self.link, per_source[self.src], self.n_links)
+        return sums(self.rank_link, per_source[self.rank_src], self.n_links)
 
     def path_prices(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)

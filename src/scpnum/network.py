@@ -53,6 +53,11 @@ class IncidenceArrays(NamedTuple):
     source) pair as link and source indices, sorted by link index and
     then by ascending source id. ``route_link``/``route_src`` are the
     same pairs in route order (by source, then ascending link id).
+    ``rank_link``/``rank_src`` are the same pairs in rank-major order:
+    every link's first pair (in CSR order), then every link's second,
+    and so on. Each link's pairs keep their ascending source order, so
+    ``np.bincount`` over that order adds each link's terms in the CSR
+    order, with no one link's additions in a single dependent chain.
     ``capacities`` is aligned with the link ids.
     """
 
@@ -61,17 +66,22 @@ class IncidenceArrays(NamedTuple):
     src: np.ndarray
     route_link: np.ndarray
     route_src: np.ndarray
+    rank_link: np.ndarray
+    rank_src: np.ndarray
 
 
 def _incidence_arrays(net: Network) -> IncidenceArrays:
-    link = np.repeat(np.arange(net.n_links, dtype=np.intp),
-                     [len(on) for on in net.sources_on_link])
+    counts = [len(on) for on in net.sources_on_link]
+    link = np.repeat(np.arange(net.n_links, dtype=np.intp), counts)
     src = np.fromiter(map(net.source_index.__getitem__,
                           chain.from_iterable(net.sources_on_link)),
                       dtype=np.intp, count=net.nnz)
     route = np.argsort(src, kind="stable")
+    # each pair's rank within its link
+    starts = np.cumsum(counts) - counts
+    by_rank = np.argsort(np.arange(net.nnz) - starts[link], kind="stable")
     arrays = IncidenceArrays(np.array(net.capacities, dtype=float), link, src,
-                             link[route], src[route])
+                             link[route], src[route], link[by_rank], src[by_rank])
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -87,6 +87,24 @@ def test_sums_add_left_to_right():
     assert np.array_equal(sums(index, weights, 20), np.array(expected))
 
 
+def test_link_sums_add_each_link_in_source_order():
+    # rank-major order interleaves the links but keeps each link's pairs
+    # in ascending source order, so every load equals a per-link loop
+    net, utilities = crowded_instance()
+    model = Model(net, utilities)
+    inc = net.incidence
+    pairs = sorted(zip(inc.rank_link.tolist(), inc.rank_src.tolist()))
+    assert pairs == sorted(zip(inc.link.tolist(), inc.src.tolist()))
+    for lid in range(net.n_links):
+        assert inc.rank_src[inc.rank_link == lid].tolist() == inc.src[inc.link == lid].tolist()
+    per_source = np.random.default_rng(KERNEL_SEED + 2).standard_normal(net.n_sources) * 1e3
+    expected = [0.0] * net.n_links
+    for i, on in enumerate(net.sources_on_link):
+        for sid in on:
+            expected[i] += float(per_source[net.source_index[sid]])
+    assert np.array_equal(model.link_sums(per_source), np.array(expected))
+
+
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_carried_loads_equal_fresh_kernels(scheduler):
     net, utilities = crowded_instance()

@@ -226,6 +226,9 @@ def test_equal_networks_keep_their_own_incidence():
     assert a.incidence.src.tolist() == [0, 1, 0, 2, 0, 3]
     assert a.incidence.route_link.tolist() == [0, 1, 2, 0, 1, 2]
     assert a.incidence.route_src.tolist() == [0, 0, 0, 1, 2, 3]
+    # rank-major order: every link's first pair, then every link's second
+    assert a.incidence.rank_link.tolist() == [0, 1, 2, 0, 1, 2]
+    assert a.incidence.rank_src.tolist() == [0, 0, 0, 1, 2, 3]
 
 
 def test_cached_incidence_leaves_equality_and_pickling_unchanged():

@@ -1,10 +1,12 @@
 """Grid-search oracle, sampled local optimality, and gradient checking."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import scpnum.oracle
 from scpnum import (
     BUILT_IN_SCENARIOS,
     BudgetExceededError,
@@ -185,6 +187,78 @@ def test_grid_result_is_pinned(name):
     assert res.feasible
 
 
+def test_grid_ties_break_under_the_scan_sum():
+    # sources 1 and 4 share a curve; (126.9, ..., 130.1) and its swap tie
+    # under total_utility's order, but the scan's sum U0 + ((U1 + U2) +
+    # U3) rates this point one ulp higher, so the scan returns it
+    net = build_network([(1, 700.3)], [(s, (1,)) for s in range(1, 5)])
+    utilities = S_CURVES + S_CURVES[:1]
+    res = grid_search(net, utilities, GridSpec(points_per_dim=6, refinement_passes=2))
+    assert [float.hex(v) for v in res.x.tolist()] == [
+        "0x1.fba0000000000p+6", "0x1.576999999999ap+7", "0x1.0e27fffffffffp+8",
+        "0x1.0430000000000p+7"]
+    assert repr(res.utility) == "3.4498239754275253"
+
+
+def chunk_points(size, n, n_sources):
+    """CHUNK_POINTS for one point per chunk (so one row of the first
+    tail axis), or for a row count per chunk that does not divide n."""
+    if size == "one-point":
+        return 1
+    rows = next(k for k in range(3, n) if n % k)
+    return rows * n ** max(n_sources - 2, 0)
+
+
+CHUNK_SIZES = ["one-point", "rows-not-dividing"]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
+def test_chunked_grid_matches_brute_force(monkeypatch, case, size):
+    # at one point per chunk the tie case's tied points fall in different chunks
+    links, routes, utilities, n, passes = BRUTE_FORCE_CASES[case]
+    monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, n, len(utilities)))
+    net = build_network(links, routes)
+    spec = GridSpec(points_per_dim=n, refinement_passes=passes)
+    res = grid_search(net, utilities, spec)
+    ref_x, ref_u = brute_force(net, utilities, spec)
+    assert res.x.tobytes() == ref_x.tobytes()
+    assert res.utility == pytest.approx(ref_u, rel=1e-12)
+    assert res.evaluations == (passes + 1) * n ** len(utilities)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("name", PINNED_GRID)
+def test_chunked_grid_result_is_pinned(monkeypatch, name, size):
+    x_hex, utility, evaluations = PINNED_GRID[name]
+    net, utilities, _ = load_scenario(name)
+    monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, 64, len(utilities)))
+    res = grid_search(net, utilities, GridSpec())
+    assert [float.hex(v) for v in res.x.tolist()] == x_hex
+    assert repr(res.utility) == utility
+    assert res.evaluations == evaluations
+
+
+@pytest.mark.parametrize("case", ["independent-tails", "shared-link-refined"])
+def test_grid_scan_memory_is_bounded_by_the_chunk(monkeypatch, case):
+    # one full-tail float array of 32**3 points is 256 KiB; chunks of 1024
+    # points keep the traced peak below half of that
+    links, routes, utilities, _, _ = BRUTE_FORCE_CASES[case]
+    assert len(utilities) == 4
+    monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", 1024)
+    net = build_network(links, routes)
+    spec = GridSpec(points_per_dim=32, refinement_passes=1)
+    net.incidence  # derived once per network, outside the traced call
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        grid_search(net, utilities, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
 def test_grid_source_budget():
     net = build_network([(1, 5000.0)], [(s, (1,)) for s in range(1, 7)])
     utilities = tuple(SCurveUtility(r=256.0, c1=6.0, c2=2.0) for _ in range(6))
@@ -205,6 +279,20 @@ def test_grid_spec_validation():
         GridSpec(points_per_dim=1)
     with pytest.raises(ValueError):
         GridSpec(refinement_passes=-1)
+    for field in ("points_per_dim", "refinement_passes", "max_evals_per_pass"):
+        for value in (8.0, 1.5, True, "8"):
+            with pytest.raises(ValueError, match=field):
+                GridSpec(**{field: value})
+    with pytest.raises(ValueError, match="max_evals_per_pass"):
+        GridSpec(max_evals_per_pass=0)
+    for value in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="feas_tol"):
+            GridSpec(feas_tol=value)
+    # numpy integers are counts, stored as Python ints
+    spec = GridSpec(points_per_dim=np.int64(8), refinement_passes=np.int32(1),
+                    max_evals_per_pass=np.int64(512), feas_tol=0.0)
+    assert type(spec.points_per_dim) is int and spec.points_per_dim == 8
+    assert type(spec.max_evals_per_pass) is int
 
 
 def test_local_opt_accepts_saturated_source():
@@ -223,6 +311,29 @@ def test_local_opt_rejects_interior_suboptimal_point():
     assert not report.passed
     assert report.best_gain > 0.0
     assert report.best_point is not None and report.best_point[0] > 200.0
+
+
+def test_local_opt_fails_without_a_feasible_sample():
+    # at the capacity, a sample above the candidate overloads the link
+    net, utilities = capped_single_source(100.0)
+    seed = next(s for s in range(100) if np.random.default_rng(s).uniform(-2.0, 2.0) > 0.0)
+    report = local_opt_test(net, utilities, np.array([100.0]), samples=1, seed=seed)
+    assert report.samples_feasible == 0
+    assert not report.passed
+    assert report.best_point is None
+
+
+@pytest.mark.parametrize("kw", [dict(samples=0), dict(samples=-5), dict(samples=10.0),
+                                dict(samples=True), dict(radius=float("nan")),
+                                dict(radius=-2.0), dict(radius=0.0), dict(radius=float("inf")),
+                                dict(feas_tol=-1e-6), dict(feas_tol=float("nan")),
+                                dict(improvement_tol=float("inf")),
+                                dict(improvement_tol=-1.0)],
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_local_opt_rejects_bad_arguments(kw):
+    net, utilities = capped_single_source(300.0)
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        local_opt_test(net, utilities, np.array([200.0]), seed=12, **kw)
 
 
 def test_local_opt_infeasible_candidate():
@@ -262,7 +373,7 @@ def local_opt_loop(net, utilities, x_star, seed, radius=2.0, samples=1000,
         gain = total_utility(utilities, cand) - base_u
         if gain > best_gain:
             best_gain, best_point = gain, cand
-    return best_gain <= improvement_tol, n_feasible, best_gain, best_point
+    return n_feasible > 0 and best_gain <= improvement_tol, n_feasible, best_gain, best_point
 
 
 @pytest.mark.parametrize("name", sorted(BUILT_IN_SCENARIOS))

@@ -15,13 +15,16 @@ from helpers import COLLAPSE_CONFIG, crowded_instance, recipe_x0
 import scpnum
 from scpnum import (
     BUILT_IN_SCENARIOS,
+    GridSpec,
     ParseError,
     ScenarioValidationError,
     SolverConfig,
+    grid_search,
     load_scenario,
     parse_scenario,
     scenario_to_json,
     solve,
+    total_utility,
 )
 from scpnum.cli import main
 
@@ -402,6 +405,22 @@ def test_cli_validate_single_source(tmp_path):
     assert "verdict: PASS" in report
     assert "local_opt_test" in report
     assert "grid_search" in report
+
+
+def test_cli_validate_sums_both_sides_in_one_order(tmp_path, monkeypatch):
+    # the oracle's own utility is the scan's sum; the gap and the printed
+    # oracle utility come from total_utility at the oracle's rates, as the
+    # engine side's do, so an oracle utility of -1 changes neither
+    def scan_sum_off(net, utilities, spec):
+        return replace(grid_search(net, utilities, spec), utility=-1.0)
+
+    monkeypatch.setattr(scpnum.cli, "grid_search", scan_sum_off)
+    assert main(["validate", "chain-3", "--out", str(tmp_path)]) == 0
+    net, utilities, _ = load_scenario("chain-3")
+    oracle_u = total_utility(utilities, grid_search(net, utilities, GridSpec()).x)
+    report = (tmp_path / "validation.txt").read_text()
+    assert f"oracle aggregate utility: {oracle_u:.10f}\n" in report
+    assert "(|gap| <= 1e-3: true)" in report
 
 
 def test_cli_validate_budget_guard(tmp_path, capsys):
