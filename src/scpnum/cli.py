@@ -270,7 +270,8 @@ def cmd_validate(args) -> int:
         f"engine aggregate utility: {util_engine:.10f}",
         "",
         f"oracle grid_search: passes={GridSpec().refinement_passes} "
-        f"evaluations={oracle.evaluations} resolution_kbps={oracle.resolution:.6f} "
+        f"evaluations={oracle.evaluations} scanned={oracle.scanned} "
+        f"resolution_kbps={oracle.resolution:.6f} "
         f"runtime_s={oracle_time:.3f}",
         f"oracle rates (Kbps): {np.array2string(oracle.x, precision=4)}",
         f"oracle aggregate utility: {util_oracle:.10f}",

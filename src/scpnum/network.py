@@ -277,12 +277,15 @@ def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
     Raises
     ------
     ValueError
-        If ``x`` does not have one entry per source.
+        If ``x`` does not have one entry per source, or ``tol`` is not
+        finite and >= 0.
     """
     if len(x) != net.n_sources:
         raise ValueError(f"x must have {net.n_sources} entries, got {len(x)}")
-    violations: list[Violation] = []
     # each test is written so that a NaN fails it
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    violations: list[Violation] = []
     for j, sid in enumerate(net.source_ids):
         lo, hi = bounds[j]
         xv = float(x[j])

@@ -45,8 +45,15 @@ MAX_SOURCES = 5
 # 1 MiB, a quarter of a 4 MiB L2 cache. On chain-3 (2 vCPU Xeon, numpy
 # 2.4) a grid_search took 3.9 ms with it, against 4.1 ms at 2**16 and
 # 2**18 points and 4.9 ms at 2**15; one-row chunks of 4096 points were
-# slower than no chunks at all
+# slower than no chunks at all, when every row of a slice was scanned
 CHUNK_POINTS = 2 ** 17
+
+# the grid bounds sum in another order than the scan, so each link budget
+# in them is raised by BUDGET_PAD Kbps and each bound by a relative
+# BOUND_PAD, far above the rounding of five-term sums: a block of the
+# grid is skipped only when it is strictly worse
+BUDGET_PAD = 1e-9
+BOUND_PAD = 1e-12
 
 
 class NoFeasiblePointError(ValueError):
@@ -103,11 +110,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A grid_search result. ``evaluations`` is the nominal count,
+    points_per_dim**S per pass; ``scanned`` is the number of grid points
+    the scan actually tested, the rest being ruled out by bounds."""
+
     x: np.ndarray
     utility: float
     feasible: bool
     resolution: float
     evaluations: int
+    scanned: int
 
 
 @dataclass(frozen=True)
@@ -155,31 +167,118 @@ def _sum_into(terms, zero, buf):
 
 def _chunk_buffers(tail_shape):
     """The scan's chunk buffers for a grid whose tail (every source but
-    the first) has shape tail_shape: room for the whole rows of the
-    first tail axis that fit in CHUNK_POINTS points, and for at least
-    one row. One float array holds a chunk's loads and then its
-    utilities; two bool arrays hold its feasibility mask and one link's
-    test, then the mask's complement."""
-    row = math.prod(tail_shape[1:])
-    size = min(math.prod(tail_shape[:1]), max(1, CHUNK_POINTS // row)) * row
+    the first) has shape tail_shape: room for the whole tail if it fits
+    in CHUNK_POINTS points, else for one row of its first axis if that
+    fits, else for the whole rows of its second axis (sub-rows) that
+    fit, and for at least one. One float array holds a chunk's loads and
+    then its utilities; two bool arrays hold its feasibility mask and
+    one link's test, then the mask's complement."""
+    total, row, sub = (math.prod(tail_shape[k:]) for k in range(3))
+    size = (total if total <= CHUNK_POINTS else row if row <= CHUNK_POINTS
+            else max(1, CHUNK_POINTS // sub) * sub)
     return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
 
-def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent, buffers):
-    """Scan one grid; returns (best_x, best_u) carrying the incumbent forward.
+def _best_within(loads, utils):
+    """A table for :func:`_at_budget`: loads ascending and, before each,
+    -inf and then the running maximum of their utilities."""
+    order = np.argsort(loads, kind="stable")
+    return loads[order], np.concatenate(([-np.inf], np.maximum.accumulate(utils[order])))
+
+
+def _at_budget(table, budget):
+    """The best utility of a table whose load is <= budget (-inf if
+    none), elementwise over budget."""
+    loads, best = table
+    return best[np.searchsorted(loads, budget, side="right")]
+
+
+def _tail_bound(grids, utils, links):
+    """Upper bound on the scan's sum at every feasible grid point whose
+    leading sources (the prefix) are fixed, vectorised over k prefix
+    values.
+
+    ``grids`` and ``utils`` are the grid values and their utilities of
+    the free sources (those after the prefix), in source order; each
+    entry of ``links`` is the free positions on a link and its limit
+    (capacity + feas_tol). Returns ``bound(prefix_u, prefix_load)``,
+    where ``prefix_u`` is the prefix's utility, shape (k,), and
+    ``prefix_load`` the prefix's load on each link, shape (L, k). The
+    bound is -inf where no free values fit.
+
+    Loads are counted above the corner where every free source sits at
+    its lowest grid value: a link's slack is its limit less the prefix's
+    load and the corner's. The bound is the smaller of two:
+
+    - per source: each free source at its best grid value whose extra
+      load fits the slack of every link it crosses;
+    - meet in the middle, for each link that two or more free sources
+      cross, keeping only that link's constraint: its free sources are
+      split in two halves and each half's (extra load, utility) sums are
+      formed. The second half becomes a table of its best utility within
+      each load; each entry of the first half's Pareto front (utility
+      strictly rising with load) looks up the rest of the slack in it.
+      Free sources off the link take their per-source value.
+
+    Grids ascend, so every feasible point passes each test. The sums
+    here run in another order than the scan's, so every slack is raised
+    by BUDGET_PAD Kbps and the bound by a relative BOUND_PAD (utilities
+    are positive): a block is skipped only when it is strictly worse.
+    """
+    lows = [g[0] for g in grids]
+    singles = [_best_within(g - lo, u) for g, lo, u in zip(grids, lows, utils)]
+    crossed = [[l for l, (on, _) in enumerate(links) if b in on] for b in range(len(grids))]
+    headroom = np.array([limit + BUDGET_PAD - sum((lows[b] for b in on), 0.0)
+                         for on, limit in links])[:, None]
+
+    def sums(on):
+        """The (extra load, utility) sums over every grid point of the sources on"""
+        return (sum(np.ix_(*(grids[b] - lows[b] for b in on))).ravel(),
+                sum(np.ix_(*(utils[b] for b in on))).ravel())
+
+    meets = []
+    for l, (on, _) in enumerate(links):
+        if len(on) >= 2:
+            loads, best = _best_within(*sums(on[:len(on) // 2]))
+            front = best[1:] > best[:-1]
+            meets.append((l, loads[front], best[1:][front], _best_within(*sums(on[len(on) // 2:])),
+                          [b for b in range(len(grids)) if b not in on]))
+
+    def bound(prefix_u, prefix_load):
+        slack = headroom - prefix_load
+        per = np.empty((len(grids),) + prefix_u.shape)
+        for b, (table, ls) in enumerate(zip(singles, crossed)):
+            per[b] = _at_budget(table, slack[ls].min(axis=0))
+        total = np.where((slack >= 0.0).all(axis=0), per.sum(axis=0), -np.inf)
+        for l, loads, gains, table, off in meets:
+            best = (_at_budget(table, slack[l][:, None] - loads) + gains).max(axis=1)
+            total = np.minimum(total, best + per[off].sum(axis=0))
+        return (prefix_u + total) * (1.0 + BOUND_PAD)
+
+    return bound
+
+
+def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
+    """Scan one grid; returns ((best_x, best_u), scanned), carrying the
+    incumbent forward; scanned counts the grid points of the chunks
+    whose links were tested.
 
     The first axis is scanned slice by slice. A slice is the grid of the
-    remaining (tail) axes, which is scanned in chunks of whole rows of
-    its first axis, as many as ``buffers`` (from :func:`_chunk_buffers`,
-    allocated once per :func:`grid_search` call) has room for. No array
-    of the whole tail's shape is made. In each chunk, every link's tail
-    load is summed from the sparse tail axes, sliced to the chunk's
-    rows, and tested; the tests are ANDed into the chunk's mask; a chunk
-    with no feasible point is skipped before any utility is summed.
-    Otherwise the tail utilities are summed in the same way, U0(x0) is
-    added, infeasible points are set to -inf and the argmax is taken. A
-    later chunk replaces the slice's candidate only if it is strictly
-    larger, so each slice yields its first-found argmax (C order).
+    remaining (tail) axes. If it fits in CHUNK_POINTS points, it is
+    scanned whole as one chunk; otherwise it is scanned one row of its
+    first axis (one value of the second source) at a time, and a row
+    larger than CHUNK_POINTS points in chunks of whole rows of its own
+    first axis (sub-rows). The chunk buffers (:func:`_chunk_buffers`)
+    are allocated once per pass, after the slice bounds, so that those
+    bounds' temporaries are freed before the buffers fill. No array of
+    the whole tail's shape is made. In each chunk, every link's tail
+    load is summed from the sparse tail axes, cut to the chunk, and
+    tested; the tests are ANDed into the chunk's mask; a chunk with no
+    feasible point is skipped before any utility is summed. Otherwise
+    the tail utilities are summed in the same way, U0(x0) is added,
+    infeasible points are set to -inf and the argmax is taken, which is
+    the chunk's first best point (C order). Within a row, a later chunk
+    wins only if it is strictly better.
 
     Every tail sum starts from a 0-d zero and runs in source order, so a
     link that no tail source crosses gives a 0-d load and a single
@@ -190,30 +289,30 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent, buffers):
     ``build_network`` guarantees S >= 1, L >= 1 and a link on every
     route, so the links' masks together span every tail axis.
 
-    Bound: slice x0 gets U0(x0) + sum_j max U_j, where the max for tail
-    source j runs over its grid values that pass every link test while
-    the other tail sources sit at their lowest grid value (-inf if none
-    passes). Each link's load on those lines is read from the sparse
-    tail axes, and the bound is summed in the scan's order. Grids ascend
-    and float addition is monotone, so every feasible point of the slice
-    passes those tests and none exceeds the bound.
+    Bounds (:func:`_tail_bound`): slice x0 gets U0(x0) plus the bound on
+    the tail sources with the first fixed at x0; in a slice scanned by
+    rows, row x1 gets U0(x0) + U1(x1) plus the bound on the sources
+    after the second with both fixed. No feasible point of a slice or
+    row exceeds its bound.
 
     Visit order: slices in descending bound, ties by slice index; the
-    scan stops at the first bound below the incumbent, or at -inf.
+    scan stops at the first bound below the incumbent, or at -inf. The
+    rows of a slice scanned by rows go in the same way, and stop at the
+    first bound below the larger of the incumbent and the slice's
+    candidate.
 
-    Tie rule: a slice's candidate replaces the incumbent if it is
-    larger, or if it is equal and the incumbent came from a later slice
-    of this pass; an incoming incumbent is kept on a tie. The result is
-    that of scanning every slice in index order: the first best point in
-    lexicographic order under the scan's sum, or the incoming incumbent
-    if none beats it.
+    Tie rule: a row's candidate replaces the slice's candidate if it is
+    larger, or if it is equal and comes from a lower row. A slice's
+    candidate replaces the incumbent if it is larger, or if it is equal
+    and the incumbent came from a later slice of this pass; an incoming
+    incumbent is kept on a tie. The result is that of scanning every
+    point in lexicographic order: the first best point under the scan's
+    sum, or the incoming incumbent if none beats it.
     """
-    load, feas, spare = buffers
     tail_grids = grids[1:]
     tail_shape = tuple(len(g) for g in tail_grids)
-    row = math.prod(tail_shape[1:])
+    row, sub = math.prod(tail_shape[1:]), math.prod(tail_shape[2:])
     n_rows = math.prod(tail_shape[:1])
-    step = load.size // row
     axes = np.meshgrid(*tail_grids, indexing="ij", sparse=True)
     zero = np.zeros(())
     tail_pos = {sid: b for b, sid in enumerate(net.source_ids[1:])}
@@ -222,71 +321,105 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent, buffers):
     links = [(net.source_ids[0] in on, [tail_pos[sid] for sid in on if sid in tail_pos],
               cap + feas_tol)
              for on, cap in zip(net.sources_on_link, net.capacities)]
+    grid_u = [eval_scurve(u, g) for u, g in zip(utilities, grids)]
+    tail_u = [v.reshape(ax.shape) for v, ax in zip(grid_u[1:], axes)]
 
-    def line_fits(x0, a):
-        """Whether every link holds with the first source at x0, tail
-        source a on its grid and the other tail sources at their lowest
-        grid value (a=None: every tail source at its lowest)."""
-        mask = True
+    def free_bound(p):
+        """The bound with the first p sources fixed (tail axis b is
+        source b + 1, so free position b + 1 - p)"""
+        return _tail_bound(grids[p:], grid_u[p:], [([b + 1 - p for b in on if b + 1 >= p], limit)
+                                                   for _, on, limit in links])
+
+    # which links the first and the second source cross, as 0/1 columns
+    first_on = np.array([[float(first)] for first, _, _ in links])
+    second_on = np.array([[float(0 in on)] for _, on, _ in links])
+    slice_bound = free_bound(1)(grid_u[0], first_on * grids[0])
+    row_bound = free_bound(2) if n_rows * row > CHUNK_POINTS else None
+    load, feas, spare = _chunk_buffers(tail_shape)
+    scanned = 0
+
+    def cut(arrays, lead):
+        """The sparse tail arrays, each of the first len(lead) cut along
+        its own axis to its slice in lead."""
+        return [a[(slice(None),) * k + (lead[k],)] if k < len(lead) else a
+                for k, a in enumerate(arrays)]
+
+    def chunk(i, lead):
+        """One chunk of slice i, whose leading tail axes are cut to the
+        slices in lead: the utility and flat tail index of its first
+        best feasible point, or None."""
+        nonlocal scanned
+        x0 = grids[0][i]
+        chunk_axes = cut(axes, lead)
+        shape = np.broadcast(zero, *chunk_axes).shape
+        scanned += math.prod(shape)
+        mask = None
         for first, on, limit in links:
-            tail = sum((tail_grids[b] if b == a else tail_grids[b][0] for b in on), zero)
-            mask = np.logical_and(mask, (x0 + tail if first else tail) <= limit)
-        return mask
+            link_load = _sum_into([chunk_axes[b] for b in on], zero, load)
+            if first:
+                np.add(link_load, x0, out=link_load)
+            # a test or AND of the chunk's shape goes into feas, or into
+            # spare while feas holds the mask; smaller ones (links that
+            # cross few tail sources) are small temporaries, ANDed
+            # before they broadcast
+            full = mask is not None and mask.shape == shape
+            test = np.less_equal(link_load, limit, out=_front(spare if full else feas, shape)
+                                 if link_load.shape == shape else None)
+            if mask is None:
+                mask = test
+            else:
+                both = np.broadcast(mask, test).shape
+                mask = np.logical_and(mask, test, out=_front(feas, shape) if both == shape else None)
+        if not mask.any():
+            return None
+        u_here = _sum_into(cut(tail_u, lead), zero, load)
+        np.add(u_here, grid_u[0][i], out=u_here)
+        np.copyto(u_here, -np.inf, where=np.logical_not(mask, out=_front(spare, shape)))
+        flat = int(np.argmax(u_here))
+        return float(u_here.flat[flat]), sum(s.start * n for s, n in zip(lead, (row, sub))) + flat
 
-    # slice bounds; the corner (every tail source at its lowest) must fit
-    first_u = eval_scurve(utilities[0], grids[0])
-    tail_u = [eval_scurve(u, g).reshape(ax.shape) for u, g, ax in zip(utilities[1:], tail_grids, axes)]
-    tail_max = [np.where(line_fits(grids[0][:, None], a), v.reshape(-1), -np.inf).max(axis=-1)
-                for a, v in enumerate(tail_u)]
-    bound = np.where(line_fits(grids[0], None), first_u + sum(tail_max, zero), -np.inf)
+    def first_best(a, b):
+        """The better of two candidates (utility, flat tail index), either
+        of which may be None: the larger utility, on a tie the first in C
+        order."""
+        if a is None or b is not None and (b[0] > a[0] or b[0] == a[0] and b[1] < a[1]):
+            return b
+        return a
 
-    def rows(arrays, r):
-        """The sparse tail arrays sliced to rows r, r+1, ... of a chunk."""
-        return [*(a[r:r + step] for a in arrays[:1]), *arrays[1:]]
+    def scan_row(i, r):
+        """Row r of slice i: the utility and flat tail index of its first
+        best feasible point, or None. The row is one chunk if it fits in
+        the buffers, and chunks of whole sub-rows otherwise."""
+        if row <= load.size:
+            return chunk(i, [slice(r, r + 1)])
+        found, step = None, load.size // sub
+        for c in range(0, tail_shape[1], step):
+            found = first_best(found, chunk(i, [slice(r, r + 1), slice(c, c + step)]))
+        return found
 
     best_x, best_u = incumbent
     best_i = -1  # slice of this pass that holds the incumbent; -1 keeps an incoming one on ties
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] == -np.inf or best_u is not None and bound[i] < best_u:
+    for i in np.argsort(-slice_bound, kind="stable"):
+        if slice_bound[i] == -np.inf or best_u is not None and slice_bound[i] < best_u:
             break
-        x0 = grids[0][i]
-        cand_u, cand_k = None, 0  # the slice's best utility and its flat tail index
-        for r in range(0, n_rows, step):
-            chunk_axes = rows(axes, r)
-            shape = np.broadcast(zero, *chunk_axes).shape
-            mask = None
-            for first, on, limit in links:
-                link_load = _sum_into([chunk_axes[b] for b in on], zero, load)
-                if first:
-                    np.add(link_load, x0, out=link_load)
-                # a test or AND of the chunk's shape goes into feas, or into
-                # spare while feas holds the mask; smaller ones (links that
-                # cross few tail sources) are small temporaries, ANDed
-                # before they broadcast
-                full = mask is not None and mask.shape == shape
-                test = np.less_equal(link_load, limit, out=_front(spare if full else feas, shape)
-                                     if link_load.shape == shape else None)
-                if mask is None:
-                    mask = test
-                else:
-                    both = np.broadcast(mask, test).shape
-                    mask = np.logical_and(mask, test, out=_front(feas, shape) if both == shape else None)
-            if not mask.any():
-                continue
-            u_here = _sum_into(rows(tail_u, r), zero, load)
-            np.add(u_here, first_u[i], out=u_here)
-            np.copyto(u_here, -np.inf, where=np.logical_not(mask, out=_front(spare, shape)))
-            flat = int(np.argmax(u_here))
-            u = float(u_here.flat[flat])
-            if cand_u is None or u > cand_u:
-                cand_u, cand_k = u, r * row + flat
-        if cand_u is None:
+        if row_bound is None:
+            cand = chunk(i, [slice(0, n_rows)])  # the whole slice
+        else:
+            bounds = row_bound(grid_u[0][i] + grid_u[1], first_on * grids[0][i] + second_on * grids[1])
+            cand = None  # the slice's best (utility, flat tail index) so far
+            for r in np.argsort(-bounds, kind="stable"):
+                floor = max(v for v in (best_u, cand and cand[0], -np.inf) if v is not None)
+                if bounds[r] == -np.inf or bounds[r] < floor:
+                    break
+                cand = first_best(cand, scan_row(i, r))
+        if cand is None:
             continue
+        cand_u, cand_k = cand
         if best_u is None or cand_u > best_u or cand_u == best_u and i < best_i:
             idx = np.unravel_index(cand_k, tail_shape)
-            best_x = np.array([x0, *(g[k] for g, k in zip(tail_grids, idx))])
+            best_x = np.array([grids[0][i], *(g[k] for g, k in zip(tail_grids, idx))])
             best_u, best_i = cand_u, i
-    return best_x, best_u
+    return (best_x, best_u), scanned
 
 
 def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> OracleResult:
@@ -301,16 +434,24 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     it finds a strictly better point.
 
     Each pass visits the first source's grid values in descending order
-    of a slice bound (the first source's utility plus each other
-    source's best utility on its own, with the others at their lowest
-    rate) and skips the slices whose bound is below the incumbent; see
-    ``_best_on_grid`` for the bound, the visit order and the tie rule.
-    ``evaluations`` still counts points_per_dim**S points per pass: each
-    point is certified either by the scan or by its slice's bound.
+    of a slice bound and skips the slices whose bound is below the
+    incumbent. A slice larger than CHUNK_POINTS points is scanned one
+    row (the second source's value) at a time, in descending order of a
+    row bound, and its rows below the incumbent or the slice's best so
+    far are skipped. The bound (``_tail_bound``) is the smaller of two
+    upper bounds on the remaining sources' utility: each source at its
+    best rate that fits with the others at their lowest, and, for each
+    link that two or more of them cross, a meet-in-the-middle maximum
+    under that link's capacity alone. It is padded (BUDGET_PAD Kbps on
+    each link, a relative BOUND_PAD on the utility) so that rounding
+    never skips a point that could tie. See ``_best_on_grid`` for the
+    visit order and the tie rule.
 
-    A slice is scanned in chunks of whole rows of the second source's
-    axis, about CHUNK_POINTS points each, whose buffers are allocated
-    once per call; no array of points_per_dim**(S-1) entries is made.
+    ``evaluations`` still counts points_per_dim**S points per pass: each
+    point is certified either by the scan or by a bound. ``scanned``
+    counts the points the scan tested, in chunks of at most about
+    CHUNK_POINTS points (a whole slice, a row, or whole sub-rows of a
+    row); no array of points_per_dim**(S-1) entries is made.
 
     Raises
     ------
@@ -337,13 +478,13 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     highs = np.array([u.big_m for u in utilities])
     widths = highs - lows
 
-    buffers = _chunk_buffers((n,) * (S - 1))
     best = (None, None)
-    evals = 0
+    evals = scanned = 0
     for p in range(spec.refinement_passes + 1):
         grids = [np.linspace(lows[j], highs[j], n) for j in range(S)]
-        best = _best_on_grid(net, utilities, grids, spec.feas_tol, best, buffers)
+        best, visited = _best_on_grid(net, utilities, grids, spec.feas_tol, best)
         evals += n ** S
+        scanned += visited
         if best[1] is None:
             raise NoFeasiblePointError("no feasible grid point (is capacity below total minimum rate?)")
         widths = widths / 4.0
@@ -356,7 +497,7 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     feasible = bool(is_feasible(net, x_best, bounds, spec.feas_tol))
     resolution = float(np.max(widths * 4.0 / (n - 1)))
     return OracleResult(x=x_best, utility=float(best[1]), feasible=feasible,
-                        resolution=resolution, evaluations=evals)
+                        resolution=resolution, evaluations=evals, scanned=scanned)
 
 
 def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
@@ -428,24 +569,33 @@ def fd_gradient_check(fn, point, step: float = 1e-6, bounds=None) -> float:
 
     ``fn(x)`` must return (value, gradient) at a point x (1-D array).
     Returns max over coordinates of |analytic - fd| / (|analytic| + 1e-15).
+    A NaN anywhere (the value at x, a gradient component or a
+    difference quotient) makes the result NaN, which no tolerance
+    accepts.
 
     Raises
     ------
+    ValueError
+        If step is not finite and > 0.
     DomainBoundaryError
         If ``bounds=(lo, hi)`` is given and any stencil point x +- step*e_i
-        leaves [lo, hi].
+        is not inside [lo, hi] (a NaN bound or coordinate is not).
     """
+    # written so that a NaN fails it
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     x = np.asarray(point, dtype=float)
-    _, grad = fn(x)
+    value, grad = fn(x)
     grad = np.asarray(grad, dtype=float)
     if bounds is not None:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
-        if np.any(x - step < lo) or np.any(x + step > hi):
+        # written so that a NaN bound or coordinate fails it
+        if not (np.all(x - step >= lo) and np.all(x + step <= hi)):
             raise DomainBoundaryError(
                 f"stencil of half-width {step} leaves the domain at {x}"
             )
-    worst = 0.0
+    worst = math.nan if math.isnan(value) else 0.0
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = step
@@ -453,5 +603,6 @@ def fd_gradient_check(fn, point, step: float = 1e-6, bounds=None) -> float:
         fm, _ = fn(x - e)
         fd = (fp - fm) / (2.0 * step)
         rel = abs(grad[i] - fd) / (abs(grad[i]) + 1e-15)
-        worst = max(worst, rel)
+        # np.maximum keeps a NaN where max() would drop it
+        worst = float(np.maximum(worst, rel))
     return worst

@@ -128,6 +128,16 @@ def test_feasibility_pass_and_tolerance():
     assert not is_feasible(net, (40.0, 61.0), bounds, tol=0.5).ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, -100.0, -1e-12, math.inf, -math.inf])
+def test_feasibility_rejects_bad_tolerance(tol):
+    # x = 5 on a 10 Kbps link is feasible at any good tolerance; a NaN or
+    # negative one used to fail it, and an infinite one passed any x
+    net = build_network([(1, 10.0)], [(1, (1,))])
+    assert is_feasible(net, [5.0], [(1.0, 20.0)], 0.0).ok
+    with pytest.raises(ValueError, match="tol"):
+        is_feasible(net, [5.0], [(1.0, 20.0)], tol)
+
+
 def test_feasibility_reports_violations():
     net = build_network([(1, 100.0)], [(1, (1,)), (2, (1,))])
     bounds = [(1.0, 256.0), (50.0, 256.0)]

@@ -1,6 +1,8 @@
 """Grid-search oracle, sampled local optimality, and gradient checking."""
 
+import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from scpnum import (
     solve,
     total_utility,
 )
+from helpers import INSTANCE_SEED, gen_instance
 
 
 def capped_single_source(capacity=100.0):
@@ -150,6 +153,17 @@ BRUTE_FORCE_CASES = {
     "two-sources-refined": ([(1, 250.3)], [(1, (1,)), (2, (1,))], S_CURVES[:2], 8, 2),
     "shared-link-refined": ([(1, 700.3)], [(s, (1,)) for s in range(1, 5)],
                             S_CURVES + (SCurveUtility(r=224.0, c1=5.5, c2=3.0),), 6, 2),
+    # sources 2 and 3 share a curve, so in the best slice rows 153.8 and
+    # 192 reach the same utility under the scan's sum; scanned by rows
+    # (the chunked tests), row 192 has the higher row bound, by rounding,
+    # and is scanned first, and row 153.8 must still be scanned and win
+    "row-tie": ([(1, 645.33)], [(s, (1,)) for s in range(1, 5)],
+                (S_CURVES[2], S_CURVES[1], S_CURVES[1], PLATEAU), 6, 0),
+    # the third source's rates from 128.5 to 256 Kbps all tie on the
+    # plateau; scanned by rows, one row's sub-rows hold them, and the
+    # first must win
+    "sub-row-tie": ([(1, 300.7), (2, 299.9)], [(1, (1,)), (2, (1,)), (3, (2,))],
+                    S_CURVES[:2] + (SCurveUtility(r=128.0, c1=40.0, c2=1.0, big_m=256.0),), 9, 0),
 }
 
 
@@ -171,6 +185,9 @@ PINNED_GRID = {
     "chain-3": (["0x1.59cb6db6db6dbp+7", "0x1.ee09e79e79e7ap+7", "0x1.0000000000000p+8",
                  "0x1.c611861861861p+7"], "3.6150966479831057", 3 * 64 ** 4),
     "single-source": (["0x1.8f26186186186p+6"], "0.599619693553651", 3 * 64),
+    "paper-scenario-1": (["0x1.d6fe79e79e79dp+6", "0x1.7e39249249249p+7", "0x1.b6e3cf3cf3cf3p+7",
+                          "0x1.d0b1861861862p+7", "0x1.de5aaaaaaaaaap+7"],
+                         "4.371258553537359", 3 * 64 ** 5),
 }
 
 
@@ -202,14 +219,18 @@ def test_grid_ties_break_under_the_scan_sum():
 
 def chunk_points(size, n, n_sources):
     """CHUNK_POINTS for one point per chunk (so one row of the first
-    tail axis), or for a row count per chunk that does not divide n."""
+    tail axis, or one sub-row of a larger row), for a row count per
+    chunk that does not divide n, or for a sub-row count per chunk that
+    does not divide n. Any of them makes a slice of two or more sources
+    larger than a chunk, so it is scanned by rows."""
     if size == "one-point":
         return 1
-    rows = next(k for k in range(3, n) if n % k)
-    return rows * n ** max(n_sources - 2, 0)
+    if size == "rows-not-dividing":
+        return next(k for k in range(3, n) if n % k) * n ** max(n_sources - 2, 0)
+    return next(k for k in range(2, n) if n % k) * n ** max(n_sources - 3, 0)
 
 
-CHUNK_SIZES = ["one-point", "rows-not-dividing"]
+CHUNK_SIZES = ["one-point", "rows-not-dividing", "sub-rows-not-dividing"]
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -217,14 +238,20 @@ CHUNK_SIZES = ["one-point", "rows-not-dividing"]
 def test_chunked_grid_matches_brute_force(monkeypatch, case, size):
     # at one point per chunk the tie case's tied points fall in different chunks
     links, routes, utilities, n, passes = BRUTE_FORCE_CASES[case]
-    monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, n, len(utilities)))
     net = build_network(links, routes)
     spec = GridSpec(points_per_dim=n, refinement_passes=passes)
+    whole = grid_search(net, utilities, spec)  # every slice fits in one chunk
+    monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, n, len(utilities)))
     res = grid_search(net, utilities, spec)
     ref_x, ref_u = brute_force(net, utilities, spec)
     assert res.x.tobytes() == ref_x.tobytes()
     assert res.utility == pytest.approx(ref_u, rel=1e-12)
     assert res.evaluations == (passes + 1) * n ** len(utilities)
+    # the same slices are visited, and the row bounds skip rows of them
+    if len(utilities) > 1:
+        assert res.scanned < whole.scanned
+    else:
+        assert res.scanned == whole.scanned
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -232,11 +259,70 @@ def test_chunked_grid_matches_brute_force(monkeypatch, case, size):
 def test_chunked_grid_result_is_pinned(monkeypatch, name, size):
     x_hex, utility, evaluations = PINNED_GRID[name]
     net, utilities, _ = load_scenario(name)
+    # chain-3's and paper-scenario-1's slices are scanned by rows at the
+    # default size too: a smaller chunk cuts the same rows finer
+    default = grid_search(net, utilities, GridSpec())
     monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, 64, len(utilities)))
     res = grid_search(net, utilities, GridSpec())
     assert [float.hex(v) for v in res.x.tolist()] == x_hex
     assert repr(res.utility) == utility
     assert res.evaluations == evaluations
+    assert res.scanned == default.scanned
+
+
+def test_grid_scans_one_row_per_pass():
+    # chain-3's tail sources each have a link of their own, so the row
+    # bound is tight and one 64**2-point row is scanned per pass
+    net, utilities, _ = load_scenario("chain-3")
+    assert grid_search(net, utilities, GridSpec()).scanned == 3 * 64 ** 2
+    # paper-scenario-1's five sources share one link, which only the
+    # meet-in-the-middle bound counts: no more than two slices per pass
+    net, utilities, _ = load_scenario("paper-scenario-1")
+    assert grid_search(net, utilities, GridSpec()).scanned <= 3 * 2 * 64 ** 4
+
+
+# per gen_instance draw from default_rng(INSTANCE_SEED), the first 16 hex
+# digits of sha256(x bytes + repr(utility)) of its grid_search result,
+# as the scan of every slice in index order returned them
+SEEDED_DIGESTS = {
+    "default": ["269bcdaa76be18e4", "d69abd9cfd2dd262", "496610f9d2adb86b", "0470335fbc6f21af",
+                "a74883d4df5d2e73", "79766e347eef1311", "ba1d88bd79622086", "3c58f61337b25600",
+                "ab657abaf6eefe90", "01309c494aa725c6", "7fdf1dd87319d7b6", "8c0fe625fe45fb2b",
+                "6553276c7a121572", "dd69c004f94368ba", "24b7a2f196616c96", "243ec2aa060506fb",
+                "5854cb540ac25d9c", "33562afe14ed2adc", "bcd30ca6e30128c5", "2acb1917a4eb11fb"],
+    "16x3": ["3f143eccfc5aaeeb", "48f70395e64b0139", "67c3f3a81de267b3", "485402aefa5e166d",
+             "94e7bd1723f6bfe2", "b2e4a67988239389", "baf34d7538061ccf", "93d4a3307f093842",
+             "cdcecf9d716a6ea5", "e3bbcead7994f748", "3c4b9b36fa815bd0", "878c5c2c7a79867a",
+             "1af6927e23dc6387", "492cfeab33e91e1d", "cbd312e5b989b06d", "ef31b46c521f9291",
+             "aad4d84a77f127e4", "2f877b6ef1831e4d", "87a6e745aeb9504a", "5b208bd5d8c81413"],
+}
+SEEDED_SPECS = {"default": GridSpec(), "16x3": GridSpec(points_per_dim=16, refinement_passes=3)}
+
+
+@pytest.mark.parametrize("spec", SEEDED_SPECS)
+def test_grid_seeded_draws_are_pinned(spec):
+    rng = np.random.default_rng(INSTANCE_SEED)
+    digests = []
+    for _ in range(20):
+        res = grid_search(*gen_instance(rng), SEEDED_SPECS[spec])
+        digests.append(hashlib.sha256(res.x.tobytes() + repr(res.utility).encode()).hexdigest()[:16])
+    assert digests == SEEDED_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("size", [None, *CHUNK_SIZES])
+def test_grid_capacity_on_grid_nodes_is_pinned(monkeypatch, size):
+    # 134.8 + 179.4 + 153.8 + 103 = 571 Kbps: the best point fills the
+    # link exactly, with no feas_tol slack. The bound sums it in another
+    # order, which rounds above 571; only the budget pad keeps that
+    # point's slice (and row) from being skipped
+    utilities = (SCurveUtility(r=224.0, c1=5.5, c2=3.0),) * 2 + S_CURVES[1::-1]
+    net = build_network([(1, 571.0)], [(s, (1,)) for s in range(1, 5)])
+    if size is not None:
+        monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, 6, 4))
+    res = grid_search(net, utilities, GridSpec(points_per_dim=6, refinement_passes=0, feas_tol=0.0))
+    assert [float.hex(v) for v in res.x.tolist()] == [
+        "0x1.0d9999999999ap+7", "0x1.66ccccccccccdp+7", "0x1.339999999999ap+7", "0x1.9c00000000000p+6"]
+    assert repr(res.utility) == "3.147082738488545"
 
 
 @pytest.mark.parametrize("case", ["independent-tails", "shared-link-refined"])
@@ -419,6 +505,34 @@ def test_fd_gradient_check_flags_wrong_gradient():
     assert err > 0.1
 
 
+def test_fd_gradient_check_fails_on_nan():
+    def cubic(x):
+        return float(np.sum(x ** 3)), 3.0 * x ** 2
+
+    def nan_component(x):
+        value, grad = cubic(x)
+        grad[1] = math.nan
+        return value, grad
+
+    def nan_value(x):
+        return math.nan, 3.0 * x ** 2
+
+    # max() would keep the checked coordinates' error and drop the NaN
+    for fn in (nan_component, nan_value):
+        assert math.isnan(fd_gradient_check(fn, np.array([1.0, 2.0]), step=1e-5))
+
+
+@pytest.mark.parametrize("step", [math.nan, 0.0, -1e-6, math.inf])
+def test_fd_gradient_check_rejects_bad_step(step):
+    def f(x):
+        return float(np.sum(x ** 2)), 2.0 * x
+
+    # a negative step at x = lo would also slip past the domain guard
+    with pytest.raises(ValueError, match="step"):
+        fd_gradient_check(f, np.array([0.0]), step=step,
+                          bounds=(np.array([0.0]), np.array([1.0])))
+
+
 def test_fd_gradient_check_domain_guard():
     def f(x):
         return float(np.sum(x ** 2)), 2.0 * x
@@ -426,3 +540,7 @@ def test_fd_gradient_check_domain_guard():
     with pytest.raises(DomainBoundaryError):
         fd_gradient_check(f, np.array([0.0]), step=1e-6,
                           bounds=(np.array([0.0]), np.array([1.0])))
+    # a NaN bound cannot certify that the stencil stays inside
+    with pytest.raises(DomainBoundaryError):
+        fd_gradient_check(f, np.array([0.5]), step=1e-6,
+                          bounds=(np.array([math.nan]), np.array([1.0])))

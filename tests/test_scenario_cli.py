@@ -407,6 +407,13 @@ def test_cli_validate_single_source(tmp_path):
     assert "grid_search" in report
 
 
+def test_cli_validate_prints_scanned_points(tmp_path):
+    # chain-3's row bound leaves one 64**2-point row per pass of 64**4
+    assert main(["validate", "chain-3", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "validation.txt").read_text()
+    assert f" evaluations={3 * 64 ** 4} scanned={3 * 64 ** 2} " in report
+
+
 def test_cli_validate_sums_both_sides_in_one_order(tmp_path, monkeypatch):
     # the oracle's own utility is the scan's sum; the gap and the printed
     # oracle utility come from total_utility at the oracle's rates, as the
