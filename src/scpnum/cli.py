@@ -36,6 +36,7 @@ from .network import Network, is_feasible
 from .oracle import (
     BudgetExceededError,
     GridSpec,
+    NoFeasiblePointError,
     grid_search,
     local_opt_test,
     perturbation_seed,
@@ -239,6 +240,9 @@ def cmd_validate(args) -> int:
         print("validate enumerates a full rate grid per source and is capped at "
               "5 sources; split the scenario or use run + external checks.",
               file=sys.stderr)
+        return 2
+    except NoFeasiblePointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     oracle_time = time.perf_counter() - t0
     # both sides summed in total_utility's order, not the scan's own

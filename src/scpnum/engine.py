@@ -96,7 +96,9 @@ class SolverConfig:
         Iteration cap, an integer >= 1 (a Python or numpy integer, not a
         bool).
     mu0
-        Initial link price, scalar or per-link sequence, >= 0.
+        Initial link price, >= 0: a real number (not a bool), stored as a
+        float, or a per-link sequence of them, stored as a tuple of
+        floats.
     x0
         Per-source initial rates in Kbps, each inside its rate window;
         None starts every source at the midpoint (m + M)/2.
@@ -129,7 +131,11 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.feas_tol < 0.0:
             raise ValueError(f"feas_tol must be >= 0, got {self.feas_tol}")
-        mu0 = self.mu0 if isinstance(self.mu0, (int, float)) else tuple(float(v) for v in self.mu0)
+        # a bool is not a price, and a str would be read a character at a time
+        if isinstance(self.mu0, (bool, np.bool_, str)):
+            raise ValueError(f"mu0 must be a price or a sequence of prices, got {self.mu0!r}")
+        mu0 = (float(self.mu0) if isinstance(self.mu0, numbers.Real)
+               else tuple(float(v) for v in self.mu0))
         object.__setattr__(self, "mu0", mu0)
         _finite("mu0", np.atleast_1d(mu0))
         # zero is allowed: warm restarts carry mu=0 on inactive links

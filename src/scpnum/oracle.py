@@ -258,18 +258,32 @@ def _tail_bound(grids, utils, links):
     return bound
 
 
-def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
+def _scan_parts(net: Network, feas_tol):
+    """The parts of the scan that depend on the network alone: per link,
+    whether the first source crosses it, the tail axes it crosses (in
+    source order) and the largest load it accepts; and, as 0/1 columns,
+    which links the first and the second source cross."""
+    tail_pos = {sid: b for b, sid in enumerate(net.source_ids[1:])}
+    links = [(net.source_ids[0] in on, [tail_pos[sid] for sid in on if sid in tail_pos],
+              cap + feas_tol)
+             for on, cap in zip(net.sources_on_link, net.capacities)]
+    first_on = np.array([[float(first)] for first, _, _ in links])
+    second_on = np.array([[float(0 in on)] for _, on, _ in links])
+    return links, first_on, second_on
+
+
+def _best_on_grid(utilities, grids, parts, incumbent):
     """Scan one grid; returns ((best_x, best_u), scanned), carrying the
     incumbent forward; scanned counts the grid points of the chunks
-    whose links were tested.
+    whose links were tested. ``parts`` is :func:`_scan_parts`'s.
 
     The first axis is scanned slice by slice. A slice is the grid of the
     remaining (tail) axes. If it fits in CHUNK_POINTS points, it is
     scanned whole as one chunk; otherwise it is scanned one row of its
-    first axis (one value of the second source) at a time, and a row
-    larger than CHUNK_POINTS points in chunks of whole rows of its own
-    first axis (sub-rows). The chunk buffers (:func:`_chunk_buffers`)
-    are allocated once per pass, after the slice bounds, so that those
+    first axis (one value of the second source) at a time, each row in
+    chunks of whole rows of its own first axis (sub-rows), as many as
+    the buffers hold. The chunk buffers (:func:`_chunk_buffers`) are
+    allocated once per pass, after the slice bounds, so that those
     bounds' temporaries are freed before the buffers fill. No array of
     the whole tail's shape is made. In each chunk, every link's tail
     load is summed from the sparse tail axes, cut to the chunk, and
@@ -277,8 +291,7 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
     feasible point is skipped before any utility is summed. Otherwise
     the tail utilities are summed in the same way, U0(x0) is added,
     infeasible points are set to -inf and the argmax is taken, which is
-    the chunk's first best point (C order). Within a row, a later chunk
-    wins only if it is strictly better.
+    the chunk's first best point (C order).
 
     Every tail sum starts from a 0-d zero and runs in source order, so a
     link that no tail source crosses gives a 0-d load and a single
@@ -295,32 +308,24 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
     after the second with both fixed. No feasible point of a slice or
     row exceeds its bound.
 
-    Visit order: slices in descending bound, ties by slice index; the
-    scan stops at the first bound below the incumbent, or at -inf. The
-    rows of a slice scanned by rows go in the same way, and stop at the
-    first bound below the larger of the incumbent and the slice's
-    candidate.
-
-    Tie rule: a row's candidate replaces the slice's candidate if it is
-    larger, or if it is equal and comes from a lower row. A slice's
-    candidate replaces the incumbent if it is larger, or if it is equal
-    and the incumbent came from a later slice of this pass; an incoming
-    incumbent is kept on a tie. The result is that of scanning every
-    point in lexicographic order: the first best point under the scan's
-    sum, or the incoming incumbent if none beats it.
+    The scan keeps one running best: a utility and the flat index of
+    its point in this pass's grid (C order). An incumbent carried in
+    from an earlier pass enters with index -1. Each chunk offers its
+    first best feasible point, which replaces the best if its utility is
+    larger, or equal with a smaller index. Slices, and the rows of a
+    slice scanned by rows, are visited in descending bound, ties by
+    index, up to the first bound that is -inf or below the best's
+    utility. The result is that of scanning every point in lexicographic
+    order: the first best point under the scan's sum, or the incoming
+    incumbent if none beats it.
     """
-    tail_grids = grids[1:]
-    tail_shape = tuple(len(g) for g in tail_grids)
-    row, sub = math.prod(tail_shape[1:]), math.prod(tail_shape[2:])
-    n_rows = math.prod(tail_shape[:1])
-    axes = np.meshgrid(*tail_grids, indexing="ij", sparse=True)
+    links, first_on, second_on = parts
+    grid_shape = tuple(len(g) for g in grids)
+    tail_shape = grid_shape[1:]
+    total, row, sub = (math.prod(tail_shape[k:]) for k in range(3))
+    n_sub = math.prod(tail_shape[1:2])  # sub-rows per row
+    axes = np.meshgrid(*grids[1:], indexing="ij", sparse=True)
     zero = np.zeros(())
-    tail_pos = {sid: b for b, sid in enumerate(net.source_ids[1:])}
-    # per link: whether source 1 crosses it, the tail axes it crosses (in
-    # source order) and the largest load it accepts
-    links = [(net.source_ids[0] in on, [tail_pos[sid] for sid in on if sid in tail_pos],
-              cap + feas_tol)
-             for on, cap in zip(net.sources_on_link, net.capacities)]
     grid_u = [eval_scurve(u, g) for u, g in zip(utilities, grids)]
     tail_u = [v.reshape(ax.shape) for v, ax in zip(grid_u[1:], axes)]
 
@@ -330,13 +335,11 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
         return _tail_bound(grids[p:], grid_u[p:], [([b + 1 - p for b in on if b + 1 >= p], limit)
                                                    for _, on, limit in links])
 
-    # which links the first and the second source cross, as 0/1 columns
-    first_on = np.array([[float(first)] for first, _, _ in links])
-    second_on = np.array([[float(0 in on)] for _, on, _ in links])
     slice_bound = free_bound(1)(grid_u[0], first_on * grids[0])
-    row_bound = free_bound(2) if n_rows * row > CHUNK_POINTS else None
+    row_bound = free_bound(2) if total > CHUNK_POINTS else None
     load, feas, spare = _chunk_buffers(tail_shape)
-    scanned = 0
+    best_u = -np.inf if incumbent[1] is None else incumbent[1]
+    best_k, scanned = -1, 0
 
     def cut(arrays, lead):
         """The sparse tail arrays, each of the first len(lead) cut along
@@ -346,9 +349,9 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
 
     def chunk(i, lead):
         """One chunk of slice i, whose leading tail axes are cut to the
-        slices in lead: the utility and flat tail index of its first
-        best feasible point, or None."""
-        nonlocal scanned
+        slices in lead: offers its first best feasible point to the
+        running best."""
+        nonlocal scanned, best_u, best_k
         x0 = grids[0][i]
         chunk_axes = cut(axes, lead)
         shape = np.broadcast(zero, *chunk_axes).shape
@@ -371,55 +374,36 @@ def _best_on_grid(net: Network, utilities, grids, feas_tol, incumbent):
                 both = np.broadcast(mask, test).shape
                 mask = np.logical_and(mask, test, out=_front(feas, shape) if both == shape else None)
         if not mask.any():
-            return None
+            return
         u_here = _sum_into(cut(tail_u, lead), zero, load)
         np.add(u_here, grid_u[0][i], out=u_here)
         np.copyto(u_here, -np.inf, where=np.logical_not(mask, out=_front(spare, shape)))
         flat = int(np.argmax(u_here))
-        return float(u_here.flat[flat]), sum(s.start * n for s, n in zip(lead, (row, sub))) + flat
+        u = float(u_here.flat[flat])
+        k = i * total + sum(s.start * n for s, n in zip(lead, (row, sub))) + flat
+        if u > best_u or u == best_u and k < best_k:
+            best_u, best_k = u, k
 
-    def first_best(a, b):
-        """The better of two candidates (utility, flat tail index), either
-        of which may be None: the larger utility, on a tie the first in C
-        order."""
-        if a is None or b is not None and (b[0] > a[0] or b[0] == a[0] and b[1] < a[1]):
-            return b
-        return a
+    def visit(bounds):
+        """The indices of bounds in descending bound order, ties by
+        index, up to the first bound that is -inf or below the best's
+        utility."""
+        for k in np.argsort(-bounds, kind="stable"):
+            if bounds[k] == -np.inf or bounds[k] < best_u:
+                return
+            yield k
 
-    def scan_row(i, r):
-        """Row r of slice i: the utility and flat tail index of its first
-        best feasible point, or None. The row is one chunk if it fits in
-        the buffers, and chunks of whole sub-rows otherwise."""
-        if row <= load.size:
-            return chunk(i, [slice(r, r + 1)])
-        found, step = None, load.size // sub
-        for c in range(0, tail_shape[1], step):
-            found = first_best(found, chunk(i, [slice(r, r + 1), slice(c, c + step)]))
-        return found
-
-    best_x, best_u = incumbent
-    best_i = -1  # slice of this pass that holds the incumbent; -1 keeps an incoming one on ties
-    for i in np.argsort(-slice_bound, kind="stable"):
-        if slice_bound[i] == -np.inf or best_u is not None and slice_bound[i] < best_u:
-            break
+    step = load.size // sub  # sub-rows per chunk; a buffer holds one at least
+    for i in visit(slice_bound):
         if row_bound is None:
-            cand = chunk(i, [slice(0, n_rows)])  # the whole slice
-        else:
-            bounds = row_bound(grid_u[0][i] + grid_u[1], first_on * grids[0][i] + second_on * grids[1])
-            cand = None  # the slice's best (utility, flat tail index) so far
-            for r in np.argsort(-bounds, kind="stable"):
-                floor = max(v for v in (best_u, cand and cand[0], -np.inf) if v is not None)
-                if bounds[r] == -np.inf or bounds[r] < floor:
-                    break
-                cand = first_best(cand, scan_row(i, r))
-        if cand is None:
+            chunk(i, [])  # the whole slice
             continue
-        cand_u, cand_k = cand
-        if best_u is None or cand_u > best_u or cand_u == best_u and i < best_i:
-            idx = np.unravel_index(cand_k, tail_shape)
-            best_x = np.array([grids[0][i], *(g[k] for g, k in zip(tail_grids, idx))])
-            best_u, best_i = cand_u, i
-    return (best_x, best_u), scanned
+        for r in visit(row_bound(grid_u[0][i] + grid_u[1], first_on * grids[0][i] + second_on * grids[1])):
+            for c in range(0, n_sub, step):
+                chunk(i, [slice(r, r + 1), slice(c, c + step)])
+    if best_k < 0:
+        return incumbent, scanned
+    return (np.array([g[k] for g, k in zip(grids, np.unravel_index(best_k, grid_shape))]), best_u), scanned
 
 
 def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> OracleResult:
@@ -427,18 +411,19 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
 
     Enumerates Π[m_s, M_s] at points_per_dim nodes per source, keeps the
     best feasible point, then re-grids successively smaller boxes around
-    it. Ties break toward the lexicographically smallest rate vector
-    under the scan's sum U0 + ((U1 + U2) + ...), which is also the
+    it. One tie rule holds throughout: of points with equal utility
+    under the scan's sum U0 + ((U1 + U2) + ...), the first in
+    lexicographic order wins, and the incumbent of an earlier pass comes
+    before every point of a refinement pass. That sum is also the
     ``utility`` returned and can differ by an ulp from
-    :func:`total_utility`; a refinement pass keeps the incumbent unless
-    it finds a strictly better point.
+    :func:`total_utility`.
 
     Each pass visits the first source's grid values in descending order
-    of a slice bound and skips the slices whose bound is below the
-    incumbent. A slice larger than CHUNK_POINTS points is scanned one
-    row (the second source's value) at a time, in descending order of a
-    row bound, and its rows below the incumbent or the slice's best so
-    far are skipped. The bound (``_tail_bound``) is the smaller of two
+    of a slice bound and skips the slices whose bound is below the best
+    so far. A slice larger than CHUNK_POINTS points is scanned one row
+    (the second source's value) at a time, in descending order of a row
+    bound, and its rows whose bound is below the best so far are
+    skipped. The bound (``_tail_bound``) is the smaller of two
     upper bounds on the remaining sources' utility: each source at its
     best rate that fits with the others at their lowest, and, for each
     link that two or more of them cross, a meet-in-the-middle maximum
@@ -478,11 +463,12 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     highs = np.array([u.big_m for u in utilities])
     widths = highs - lows
 
+    parts = _scan_parts(net, spec.feas_tol)
     best = (None, None)
     evals = scanned = 0
     for p in range(spec.refinement_passes + 1):
         grids = [np.linspace(lows[j], highs[j], n) for j in range(S)]
-        best, visited = _best_on_grid(net, utilities, grids, spec.feas_tol, best)
+        best, visited = _best_on_grid(utilities, grids, parts, best)
         evals += n ** S
         scanned += visited
         if best[1] is None:

@@ -275,6 +275,14 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(mu0=-0.1)
+    # a bool is not a price, and a str is not a sequence of prices
+    for mu0 in (True, False, np.True_, "0.1"):
+        with pytest.raises(ValueError, match="mu0"):
+            SolverConfig(mu0=mu0)
+    # any other real scalar is one price, stored as a float
+    for mu0, price in ((1, 1.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5)):
+        stored = SolverConfig(mu0=mu0).mu0
+        assert type(stored) is float and stored == price
 
 
 def test_solver_config_has_one_price_order():

@@ -296,17 +296,27 @@ SEEDED_DIGESTS = {
              "1af6927e23dc6387", "492cfeab33e91e1d", "cbd312e5b989b06d", "ef31b46c521f9291",
              "aad4d84a77f127e4", "2f877b6ef1831e4d", "87a6e745aeb9504a", "5b208bd5d8c81413"],
 }
+# per draw, the scanned count of its grid_search result: a change to
+# which chunks the scan visits fails even where the result stays
+SEEDED_SCANNED = {
+    "default": [12288, 192, 12288, 192, 12288, 12288, 192, 12288, 2, 12288,
+                192, 3, 192, 8192, 12288, 12288, 1, 12288, 3, 3],
+    "16x3": [1024, 64, 1024, 64, 1024, 1024, 64, 1024, 4, 1024,
+             64, 3, 64, 1024, 1024, 1024, 4, 1024, 4, 4],
+}
 SEEDED_SPECS = {"default": GridSpec(), "16x3": GridSpec(points_per_dim=16, refinement_passes=3)}
 
 
 @pytest.mark.parametrize("spec", SEEDED_SPECS)
 def test_grid_seeded_draws_are_pinned(spec):
     rng = np.random.default_rng(INSTANCE_SEED)
-    digests = []
+    digests, scanned = [], []
     for _ in range(20):
         res = grid_search(*gen_instance(rng), SEEDED_SPECS[spec])
         digests.append(hashlib.sha256(res.x.tobytes() + repr(res.utility).encode()).hexdigest()[:16])
+        scanned.append(res.scanned)
     assert digests == SEEDED_DIGESTS[spec]
+    assert scanned == SEEDED_SCANNED[spec]
 
 
 @pytest.mark.parametrize("size", [None, *CHUNK_SIZES])

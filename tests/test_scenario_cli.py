@@ -441,3 +441,20 @@ def test_cli_validate_budget_guard(tmp_path, capsys):
     assert main(["validate", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "5-source" in err
+
+
+def test_cli_validate_no_feasible_grid_point(tmp_path, capsys):
+    # two 1 Kbps minima on a 1.5 Kbps link fit within run's feas_tol of
+    # 0.5 Kbps, but no grid point fits within the oracle's 1e-6
+    doc = {
+        "links": [{"id": 1, "capacity_kbps": 1.5}],
+        "sources": [{"id": s, "r_kbps": 256.0, "c1": 6.0, "c2": 2.0, "m_kbps": 1.0,
+                     "route": [1]} for s in (1, 2)],
+    }
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no feasible grid point")
