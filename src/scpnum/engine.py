@@ -38,16 +38,15 @@ are bitwise-identical.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .network import Network
-from .utility import SCurveUtility
+from .utility import SCurveUtility, finite_real, finite_reals
 
 __all__ = [
     "SolverConfig",
@@ -78,15 +77,11 @@ class NonPositiveExpansionPointError(ValueError):
     """Tangent expansion point must be strictly positive."""
 
 
-def _finite(name: str, values) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration parameters; every number must be finite.
+    """Iteration parameters. Each rate and price, and gamma and epsilon,
+    is a finite real number, Python or numpy (not a bool or a str),
+    stored as a float.
 
     gamma
         Price step size, > 0.
@@ -94,20 +89,19 @@ class SolverConfig:
         Stopping tolerance on max per-source rate change, Kbps.
     max_iter
         Iteration cap, an integer >= 1 (a Python or numpy integer, not a
-        bool).
+        bool), stored as an int.
     mu0
-        Initial link price, >= 0: a real number (not a bool), stored as a
-        float, or a per-link sequence of them, stored as a tuple of
-        floats.
+        Initial link price, >= 0: one number, or a per-link sequence of
+        them, stored as a tuple.
     x0
-        Per-source initial rates in Kbps, each inside its rate window;
-        None starts every source at the midpoint (m + M)/2.
-    feas_tol
-        Feasibility slack in Kbps, >= 0, used by the steady-state test
-        and for reporting.
+        Per-source initial rates in Kbps, a sequence with each entry
+        inside its rate window; None starts every source at the midpoint
+        (m + M)/2.
 
-    The path-price floor below which a rate saturates at its upper
-    bound is the module constant ``RHO_FLOOR``, not a setting.
+    Two constants are not settings: ``feas_tol``, the feasibility slack
+    of 0.5 Kbps that the steady-state test and the reports use, and the
+    path-price floor below which a rate saturates at its upper bound,
+    the module constant ``RHO_FLOOR``.
     """
 
     gamma: float = 1e-4
@@ -115,11 +109,11 @@ class SolverConfig:
     max_iter: int = 10000
     mu0: float | tuple[float, ...] = 1.0
     x0: tuple[float, ...] | None = None
-    feas_tol: float = 0.5
+    feas_tol: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        for name in ("gamma", "epsilon", "feas_tol"):
-            _finite(name, (getattr(self, name),))
+        for name in ("gamma", "epsilon"):
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.epsilon <= 0.0:
@@ -129,21 +123,15 @@ class SolverConfig:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.feas_tol < 0.0:
-            raise ValueError(f"feas_tol must be >= 0, got {self.feas_tol}")
-        # a bool is not a price, and a str would be read a character at a time
-        if isinstance(self.mu0, (bool, np.bool_, str)):
-            raise ValueError(f"mu0 must be a price or a sequence of prices, got {self.mu0!r}")
-        mu0 = (float(self.mu0) if isinstance(self.mu0, numbers.Real)
-               else tuple(float(v) for v in self.mu0))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        mu0 = (finite_real("mu0", self.mu0) if isinstance(self.mu0, numbers.Real)
+               else finite_reals("mu0", self.mu0))
         object.__setattr__(self, "mu0", mu0)
-        _finite("mu0", np.atleast_1d(mu0))
         # zero is allowed: warm restarts carry mu=0 on inactive links
         if np.any(np.asarray(mu0) < 0.0):
             raise ValueError("mu0 must be >= 0")
         if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-            _finite("x0", self.x0)
+            object.__setattr__(self, "x0", finite_reals("x0", self.x0))
 
 
 @dataclass

@@ -277,11 +277,12 @@ def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
     Raises
     ------
     ValueError
-        If ``x`` does not have one entry per source, or ``tol`` is not
-        finite and >= 0.
+        If ``x`` or ``bounds`` does not have one entry per source, or
+        ``tol`` is not finite and >= 0.
     """
-    if len(x) != net.n_sources:
-        raise ValueError(f"x must have {net.n_sources} entries, got {len(x)}")
+    for name, values in (("x", x), ("bounds", bounds)):
+        if len(values) != net.n_sources:
+            raise ValueError(f"{name} must have {net.n_sources} entries, got {len(values)}")
     # each test is written so that a NaN fails it
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")

@@ -11,14 +11,19 @@ optional ``solver`` block:
                   "mu0": 0.01, "x0": [200.0]}
     }
 
-``m_kbps``, ``big_m_kbps``, and every solver field are optional.
-``mu0`` is a scalar or a per-link list (ascending link id); ``x0`` is
-per-source (ascending source id). Rates and capacities are Kbps.
+The optional fields and their defaults: ``m_kbps`` 1 and ``big_m_kbps``
+the source's ``r_kbps``; in ``solver``, ``gamma`` 1e-4, ``epsilon`` 0.1,
+``max_iter`` 10000, ``mu0`` 1.0, and ``x0`` the midpoints of the rate
+windows. Every other field is required. ``mu0`` is a scalar or a
+per-link list (ascending link id); ``x0`` is per-source (ascending
+source id). Rates and capacities are Kbps. The solver's feasibility
+tolerance is fixed at 0.5 Kbps; no field sets it.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .engine import SolverConfig
@@ -124,35 +129,76 @@ def built_in_scenario(name: str) -> dict:
         raise ScenarioValidationError("name", f"unknown built-in {name!r} (have: {known})")
 
 
-def _require(doc: dict, key: str, types, path: str):
-    if key not in doc:
-        raise ScenarioValidationError(f"{path}.{key}", "missing required field")
-    val = doc[key]
-    if not isinstance(val, types) or isinstance(val, bool):
-        raise ScenarioValidationError(f"{path}.{key}", f"expected {types}, got {type(val).__name__}")
-    return val
-
-
-def _number(val, path: str) -> float:
-    """The one conversion of a numeric field to float."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ScenarioValidationError(path, f"expected number, got {type(val).__name__}")
+def _number(val, *where) -> float:
+    """The one conversion of a numeric field to float. Like each reader, it
+    joins ``where`` into the field's path only when it rejects the value."""
+    if type(val) is float:
+        return val
+    if type(val) is not int:  # JSON gives int, float, str, bool, None, list or dict
+        raise ScenarioValidationError(".".join(where), f"expected number, got {type(val).__name__}")
     try:
         return float(val)
     except OverflowError:
-        raise ScenarioValidationError(path, "integer too large for a float") from None
+        raise ScenarioValidationError(".".join(where), "integer too large for a float") from None
 
 
-def _required_number(doc: dict, key: str, path: str) -> float:
-    if key not in doc:
-        raise ScenarioValidationError(f"{path}.{key}", "missing required field")
-    return _number(doc[key], f"{path}.{key}")
+def _integer(val, *where) -> int:
+    if type(val) is not int:
+        raise ScenarioValidationError(".".join(where),
+                                      f"expected integer, got {type(val).__name__}")
+    return val
 
 
-def _optional_number(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        return default
-    return _number(doc[key], f"{path}.{key}")
+def _route(val, *where) -> tuple:
+    if type(val) is not list or not val or not all(type(lid) is int for lid in val):
+        raise ScenarioValidationError(".".join(where), "expected nonempty list of link ids")
+    return tuple(val)
+
+
+REQUIRED = object()  # the default of a field that must be present
+
+# The fields of a link and of a source: JSON key -> (attribute, reader,
+# default). The parser reads by these tables, scenario_to_json writes by them.
+LINK_FIELDS = {
+    "id": ("id", _integer, REQUIRED),
+    "capacity_kbps": ("capacity", _number, REQUIRED),
+}
+SOURCE_FIELDS = {
+    "id": ("id", _integer, REQUIRED),
+    "r_kbps": ("r", _number, REQUIRED),
+    "c1": ("c1", _number, REQUIRED),
+    "c2": ("c2", _number, REQUIRED),
+    "m_kbps": ("m", _number, SCurveUtility.m),
+    "big_m_kbps": ("big_m", _number, SCurveUtility.big_m),
+    "route": ("route", _route, REQUIRED),
+}
+SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))
+
+
+def _read(entry, path: str, table: dict) -> dict:
+    """One document object as {attribute: value}, by its field table."""
+    if not isinstance(entry, dict):
+        raise ScenarioValidationError(path, "expected object")
+    record = {}
+    for key, (attr, reader, default) in table.items():
+        if key in entry:
+            record[attr] = reader(entry[key], path, key)
+        elif default is REQUIRED:
+            raise ScenarioValidationError(f"{path}.{key}", "missing required field")
+        else:
+            record[attr] = default
+    for key in entry:
+        if key not in table:
+            raise ScenarioValidationError(f"{path}.{key}", "unknown field")
+    return record
+
+
+def _at(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError it raises reported at path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioValidationError(path, str(exc))
 
 
 def _model_from_doc(doc: dict):
@@ -162,93 +208,55 @@ def _model_from_doc(doc: dict):
     for key in doc:
         if key not in ("links", "sources", "solver"):
             raise ScenarioValidationError(key, "unknown top-level field")
+    for key in ("links", "sources"):
+        if not isinstance(doc.get(key), list):
+            raise ScenarioValidationError(
+                f"$.{key}", "expected list" if key in doc else "missing required field")
 
-    links_doc = _require(doc, "links", list, "$")
-    links = []
-    for i, entry in enumerate(links_doc):
-        path = f"links[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioValidationError(path, "expected object")
-        lid = _require(entry, "id", int, path)
-        cap = _required_number(entry, "capacity_kbps", path)
-        for key in entry:
-            if key not in ("id", "capacity_kbps"):
-                raise ScenarioValidationError(f"{path}.{key}", "unknown field")
-        links.append((lid, cap))
-
-    sources_doc = _require(doc, "sources", list, "$")
-    routes = []
-    utilities = {}
-    for i, entry in enumerate(sources_doc):
+    links = [(rec["id"], rec["capacity"]) for rec in
+             (_read(entry, f"links[{i}]", LINK_FIELDS) for i, entry in enumerate(doc["links"]))]
+    routes, utilities = [], {}
+    for i, entry in enumerate(doc["sources"]):
         path = f"sources[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioValidationError(path, "expected object")
-        sid = _require(entry, "id", int, path)
-        r = _required_number(entry, "r_kbps", path)
-        c1 = _required_number(entry, "c1", path)
-        c2 = _required_number(entry, "c2", path)
-        m = _optional_number(entry, "m_kbps", path, 1.0)
-        big_m = _optional_number(entry, "big_m_kbps", path, None)
-        route = _require(entry, "route", list, path)
-        if not route or not all(isinstance(l, int) and not isinstance(l, bool) for l in route):
-            raise ScenarioValidationError(f"{path}.route", "expected nonempty list of link ids")
-        for key in entry:
-            if key not in ("id", "r_kbps", "c1", "c2", "m_kbps", "big_m_kbps", "route"):
-                raise ScenarioValidationError(f"{path}.{key}", "unknown field")
-        try:
-            utilities[sid] = SCurveUtility(r=r, c1=c1, c2=c2, m=m, big_m=big_m)
+        rec = _read(entry, path, SOURCE_FIELDS)
+        sid, route = rec.pop("id"), rec.pop("route")
+        try:  # not _at: once per source, and _at would repack the keywords
+            utilities[sid] = SCurveUtility(**rec)
         except ValueError as exc:
             raise ScenarioValidationError(path, str(exc))
-        routes.append((sid, tuple(route)))
+        routes.append((sid, route))
 
-    try:
-        net = build_network(links, routes)
-    except ValueError as exc:
-        raise ScenarioValidationError("$", str(exc))
+    net = _at("$", build_network, links, routes)
     utils = tuple(utilities[sid] for sid in net.source_ids)
 
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
         raise ScenarioValidationError("solver", f"expected object, got {type(solver_doc).__name__}")
-    kwargs = {}
-    spath = "solver"
     for key in solver_doc:
-        if key not in ("gamma", "epsilon", "max_iter", "mu0", "x0"):
-            raise ScenarioValidationError(f"{spath}.{key}", "unknown field")
-    for key in ("gamma", "epsilon"):
-        val = _optional_number(solver_doc, key, spath)
-        if val is not None:
-            kwargs[key] = val
-    if "max_iter" in solver_doc:
-        val = solver_doc["max_iter"]
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ScenarioValidationError(f"{spath}.max_iter", "expected integer")
-        kwargs["max_iter"] = val
+        if key not in SOLVER_KEYS:
+            raise ScenarioValidationError(f"solver.{key}", "unknown field")
+    kwargs = {key: read(solver_doc[key], "solver", key) for key, read in
+              (("gamma", _number), ("epsilon", _number), ("max_iter", _integer))
+              if key in solver_doc}
     if "mu0" in solver_doc:
         val = solver_doc["mu0"]
-        if isinstance(val, list):
-            if len(val) != net.n_links:
-                raise ScenarioValidationError(
-                    f"{spath}.mu0", f"expected {net.n_links} entries, got {len(val)}")
-            kwargs["mu0"] = tuple(_number(v, f"{spath}.mu0[{i}]") for i, v in enumerate(val))
-        else:
-            kwargs["mu0"] = _number(val, f"{spath}.mu0")
+        if isinstance(val, list) and len(val) != net.n_links:
+            raise ScenarioValidationError(
+                "solver.mu0", f"expected {net.n_links} entries, got {len(val)}")
+        kwargs["mu0"] = (tuple(_number(v, f"solver.mu0[{i}]") for i, v in enumerate(val))
+                         if isinstance(val, list) else _number(val, "solver", "mu0"))
     if "x0" in solver_doc:
         val = solver_doc["x0"]
         if not isinstance(val, list) or len(val) != net.n_sources:
             raise ScenarioValidationError(
-                f"{spath}.x0", f"expected list of {net.n_sources} rates")
-        kwargs["x0"] = tuple(_number(v, f"{spath}.x0[{i}]") for i, v in enumerate(val))
+                "solver.x0", f"expected list of {net.n_sources} rates")
+        kwargs["x0"] = tuple(_number(v, f"solver.x0[{i}]") for i, v in enumerate(val))
         for i, (x, u) in enumerate(zip(kwargs["x0"], utils)):
             if not u.m <= x <= u.big_m:
                 raise ScenarioValidationError(
-                    f"{spath}.x0[{i}]", f"rate {x:g} outside the source's window "
-                                        f"[{u.m:g}, {u.big_m:g}] Kbps")
-    try:
-        config = SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioValidationError(spath, str(exc))
-    return net, utils, config
+                    f"solver.x0[{i}]", f"rate {x:g} outside the source's window "
+                                       f"[{u.m:g}, {u.big_m:g}] Kbps")
+    return net, utils, _at("solver", SolverConfig, **kwargs)
 
 
 def parse_scenario(text: str, origin: str = "<string>"):
@@ -274,42 +282,17 @@ def load_scenario(src):
 
 
 def scenario_to_json(net: Network, utilities, config: SolverConfig) -> str:
-    """Serialize a model back to scenario JSON. Reloading the output
-    reproduces the same Network, utilities, and SolverConfig.
-
-    Raises
-    ------
-    ValueError
-        If ``config.feas_tol`` is not SolverConfig's default: the format
-        has no field for it, so it would not survive the reload.
-    """
-    if config.feas_tol != SolverConfig.feas_tol:
-        raise ValueError(f"feas_tol {config.feas_tol} differs from the default "
-                         f"{SolverConfig.feas_tol}, which a scenario cannot store")
-    doc = {
-        "links": [
-            {"id": lid, "capacity_kbps": net.capacities[i]}
-            for i, lid in enumerate(net.link_ids)
-        ],
-        "sources": [
-            {
-                "id": sid,
-                "r_kbps": utilities[j].r,
-                "c1": utilities[j].c1,
-                "c2": utilities[j].c2,
-                "m_kbps": utilities[j].m,
-                "big_m_kbps": utilities[j].big_m,
-                "route": list(net.routes[j]),
-            }
-            for j, sid in enumerate(net.source_ids)
-        ],
-        "solver": {
-            "gamma": config.gamma,
-            "epsilon": config.epsilon,
-            "max_iter": config.max_iter,
-            "mu0": list(config.mu0) if isinstance(config.mu0, tuple) else config.mu0,
-        },
+    """Serialize a model back to scenario JSON, writing every field that
+    is set. Reloading the output reproduces the same Network, utilities,
+    and SolverConfig."""
+    sections = {
+        "links": (LINK_FIELDS, [{"id": lid, "capacity": cap}
+                                for lid, cap in zip(net.link_ids, net.capacities)]),
+        "sources": (SOURCE_FIELDS, [dict(vars(u), id=sid, route=route) for sid, route, u
+                                    in zip(net.source_ids, net.routes, utilities)]),
     }
-    if config.x0 is not None:
-        doc["solver"]["x0"] = list(config.x0)
+    doc = {section: [{key: rec[attr] for key, (attr, _, _) in table.items()} for rec in records]
+           for section, (table, records) in sections.items()}
+    doc["solver"] = {f.name: getattr(config, f.name) for f in fields(SolverConfig)
+                     if getattr(config, f.name) is not None}
     return json.dumps(doc, indent=2)

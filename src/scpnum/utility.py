@@ -12,6 +12,7 @@ All evaluators accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,33 @@ class NegativeTransformedRateError(ValueError):
     """Transformed rate must be non-negative to map back to Kbps."""
 
 
+def finite_real(name: str, value, index: int | None = None) -> float:
+    """The one check of a numeric constructor argument: a finite real
+    number, Python or numpy, returned as a float. A bool, a str, anything
+    else, or a number that is not finite raises ValueError naming the
+    field, as ``name[index]`` when the value is an entry of a sequence."""
+    if type(value) is float and math.isfinite(value):  # skips the slower ABC check
+        return value
+    label = name if index is None else f"{name}[{index}]"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{label} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    return value
+
+
+def finite_reals(name: str, values) -> tuple[float, ...]:
+    """A tuple, list or 1-d array of finite_real entries, as a tuple; a
+    str or a scalar is not a sequence."""
+    if not isinstance(values, (tuple, list, np.ndarray)) or getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return tuple(finite_real(name, v, i) for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class SCurveUtility:
     """S-shaped utility U(x) = (1 - exp(-c1*(x/r)**c2)) / (1 - exp(-c1)).
@@ -47,6 +75,9 @@ class SCurveUtility:
     m, big_m : float
         Allowed rate window [m, big_m] in Kbps, 0 < m < big_m.
         big_m defaults to r.
+
+    Each is a finite real number, Python or numpy (not a bool or a str),
+    stored as a float.
     """
 
     r: float
@@ -57,12 +88,9 @@ class SCurveUtility:
 
     def __post_init__(self):
         if self.big_m is None:
-            object.__setattr__(self, "big_m", float(self.r))
+            object.__setattr__(self, "big_m", self.r)
         for name in ("r", "c1", "c2", "m", "big_m"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         if self.r <= 0.0:
             raise ValueError(f"r must be > 0, got {self.r}")
         if self.c1 <= 0.0:

@@ -289,7 +289,7 @@ def test_solver_config_has_one_price_order():
     # the rate step always sees the prices the price step just produced;
     # no field chooses another order
     assert [f.name for f in fields(SolverConfig)] == [
-        "gamma", "epsilon", "max_iter", "mu0", "x0", "feas_tol"]
+        "gamma", "epsilon", "max_iter", "mu0", "x0"]
     with pytest.raises(TypeError):
         SolverConfig(price_lag="fresh")
 
@@ -297,8 +297,11 @@ def test_solver_config_has_one_price_order():
 @pytest.mark.parametrize("field,value", [
     ("gamma", math.nan), ("gamma", math.inf), ("epsilon", math.nan),
     ("epsilon", math.inf), ("mu0", math.nan), ("mu0", math.inf),
-    ("mu0", (0.1, math.nan)), ("x0", (100.0, math.inf)), ("feas_tol", math.nan),
-    ("feas_tol", math.inf),
+    ("mu0", (0.1, math.nan)), ("x0", (100.0, math.inf)),
+    # not numbers: a str, a bool, or a scalar where a sequence belongs
+    ("x0", "12"), ("x0", ("1", "2")), ("x0", (True,)), ("x0", np.float64(3.0)),
+    ("x0", np.array(3.0)),
+    ("mu0", (True, 0.1)), ("mu0", ("0.1",)), ("gamma", True), ("epsilon", True),
 ])
 def test_solver_config_rejects_nonfinite(field, value):
     with pytest.raises(ValueError):

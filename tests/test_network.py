@@ -180,6 +180,14 @@ def test_feasibility_needs_one_rate_per_source():
         is_feasible(net, [100.0] * 5, [(1.0, 256.0)] * 4)
 
 
+def test_feasibility_needs_one_bound_pair_per_source():
+    # too few bounds used to raise IndexError, and extra ones were ignored
+    net = chain_network()
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="bounds"):
+            is_feasible(net, [100.0] * 4, [(1.0, 256.0)] * n)
+
+
 def test_violation_is_value_object():
     assert Violation("bounds", 1, 2.0) == Violation("bounds", 1, 2.0)
 

@@ -1,5 +1,6 @@
 """Property tests: a number that is not a finite number is rejected at the
-boundary, by the scenario parser and by the validating constructors."""
+boundary, by the scenario parser and by the validating constructors; and
+any valid scenario document survives a write and a reload."""
 
 import contextlib
 import json
@@ -26,6 +27,7 @@ from scpnum import (  # noqa: E402
     SolverConfig,
     built_in_scenario,
     parse_scenario,
+    scenario_to_json,
 )
 
 # derandomized, so every run draws the same examples
@@ -96,12 +98,11 @@ def test_scurve_rejects_every_nonfinite_field(field, value, r, c1, c2):
 
 @PROPERTY
 @given(data=st.data(), value=NON_FINITE,
-       field=st.sampled_from(["gamma", "epsilon", "feas_tol", "mu0", "mu0[i]", "x0[i]"]),
+       field=st.sampled_from(["gamma", "epsilon", "mu0", "mu0[i]", "x0[i]"]),
        n=st.integers(1, 4))
 def test_solver_config_rejects_every_nonfinite_field(data, value, field, n):
     positive = st.floats(1e-9, 10.0)
     params = dict(gamma=data.draw(positive), epsilon=data.draw(positive),
-                  feas_tol=data.draw(st.floats(0.0, 10.0)),
                   mu0=data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
                   x0=data.draw(st.lists(st.floats(1.0, 256.0), min_size=n, max_size=n)))
     if field.endswith("[i]"):
@@ -110,3 +111,54 @@ def test_solver_config_rejects_every_nonfinite_field(data, value, field, n):
         params[field] = value
     with pytest.raises(ValueError):
         SolverConfig(**params)
+
+
+def optional(draw, doc: dict, key: str, strategy):
+    """Draw a value for an optional field, or leave it out."""
+    if draw(st.booleans()):
+        doc[key] = draw(strategy)
+    return doc.get(key)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Valid documents: 1-4 links, some of which no route may cross, and
+    1-5 sources, ids in any order, each optional field present or not."""
+    link_ids = draw(st.lists(st.integers(-99, 99), min_size=1, max_size=4, unique=True))
+    source_ids = draw(st.lists(st.integers(-99, 99), min_size=1, max_size=5, unique=True))
+    doc = {"links": [{"id": lid, "capacity_kbps": draw(st.floats(0.5, 1e4))}
+                     for lid in link_ids],
+           "sources": []}
+    windows = {}
+    for sid in source_ids:
+        r = draw(st.floats(2.0, 1e4))
+        source = {"id": sid, "r_kbps": r, "c1": draw(st.floats(0.1, 20.0)),
+                  "c2": draw(st.floats(1.0, 12.0)),
+                  "route": draw(st.lists(st.sampled_from(link_ids), min_size=1, unique=True))}
+        m = optional(draw, source, "m_kbps", st.floats(0.01, 0.9 * r)) or 1.0
+        big_m = optional(draw, source, "big_m_kbps", st.floats(1.01, 100.0).map(m.__mul__)) or r
+        windows[sid] = (m, big_m)
+        doc["sources"].append(source)
+    solver = {}
+    optional(draw, solver, "gamma", st.floats(1e-9, 1.0))
+    optional(draw, solver, "epsilon", st.floats(1e-9, 10.0))
+    optional(draw, solver, "max_iter", st.integers(1, 10 ** 6))
+    optional(draw, solver, "mu0", st.floats(0.0, 10.0)
+             | st.lists(st.floats(0.0, 10.0), min_size=len(link_ids), max_size=len(link_ids)))
+    if draw(st.booleans()):
+        solver["x0"] = [draw(st.floats(*windows[sid])) for sid in sorted(windows)]
+    if solver or draw(st.booleans()):
+        doc["solver"] = solver
+    return doc
+
+
+# drawing a document costs more than the other properties' examples; 120
+# of them keep this at about a second
+@settings(PROPERTY, max_examples=120)
+@given(doc=scenario_docs())
+def test_every_valid_document_round_trips(doc):
+    model = parse_scenario(json.dumps(doc))
+    text = scenario_to_json(*model)
+    again = parse_scenario(text)
+    assert again == model
+    assert scenario_to_json(*again) == text

@@ -1,5 +1,6 @@
 """Scenario documents and the command-line front end."""
 
+import hashlib
 import json
 import os
 import re
@@ -60,10 +61,40 @@ def test_built_ins_round_trip():
         assert config2 == config
 
 
-def test_round_trip_refuses_a_feas_tol_it_cannot_store():
+def test_feas_tol_is_a_constant_and_chain_3_round_trips():
+    # the feasibility tolerance is not a setting, so every SolverConfig
+    # is one a scenario can store
     net, utilities, config = load_scenario("chain-3")
-    with pytest.raises(ValueError, match="feas_tol"):
-        scenario_to_json(net, utilities, replace(config, feas_tol=0.1))
+    assert config.feas_tol == SolverConfig.feas_tol == 0.5
+    with pytest.raises(TypeError):
+        replace(config, feas_tol=0.1)
+    with pytest.raises(TypeError):
+        SolverConfig(feas_tol=0.1)
+    assert parse_scenario(scenario_to_json(net, utilities, config)) == (net, utilities, config)
+
+
+def test_numpy_scalars_in_a_config_round_trip():
+    # the config stores them as Python numbers, which json can write
+    net, utilities, _ = load_scenario("single-source")
+    config = SolverConfig(gamma=np.float32(0.5), max_iter=np.int64(7), mu0=np.float64(0.1),
+                          x0=np.array([90.0]))
+    text = scenario_to_json(net, utilities, config)
+    assert parse_scenario(text)[2] == config
+
+
+# sha256 of scenario_to_json's text for each built-in, so a change to the
+# written bytes (key order, number formatting, defaults written) shows
+BUILT_IN_JSON_SHA256 = {
+    "paper-scenario-1": "ee1c7a0ca5c9780673864ceab2d51d43c7813f12954993aebbcfd8c95d880ff8",
+    "chain-3": "93277d73167672d01e0fbbb9f8475735139f40af2a9fd3698bc2ce7832c0955c",
+    "single-source": "5ec0bc6cc063282d8c50a8e491f03507be8fc83876094a4608d3ca1aa5e8b2e4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_JSON_SHA256))
+def test_serializer_bytes_are_pinned(name):
+    text = scenario_to_json(*load_scenario(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILT_IN_JSON_SHA256[name]
 
 
 def test_minimal_document_gets_defaults():

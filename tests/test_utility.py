@@ -65,6 +65,8 @@ def test_scurve_parameter_validation():
 @pytest.mark.parametrize("field,value", [
     ("r", math.inf), ("c1", math.nan), ("c1", math.inf), ("c2", math.nan),
     ("c2", math.inf), ("big_m", math.inf),
+    # not numbers: a str or a bool
+    ("r", "256"), ("c1", True),
 ])
 def test_scurve_rejects_nonfinite(field, value):
     params = dict(r=256.0, c1=6.0, c2=2.0)
