@@ -172,14 +172,23 @@ def write_equivalence(path: Path, net: Network, res_e: AllocationResult,
     return dev
 
 
-def cmd_run(args) -> int:
+def _setup(args):
+    """(net, utilities, config, out) for run and validate, or None after
+    printing why the scenario did not load or --out could not be made."""
     try:
         net, utilities, config = load_scenario(args.scenario)
-    except (ParseError, ScenarioValidationError) as exc:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ParseError, ScenarioValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return net, utilities, config, out
+
+
+def cmd_run(args) -> int:
+    if (setup := _setup(args)) is None:
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    net, utilities, config, out = setup
 
     t0 = time.perf_counter()
     messages = None
@@ -220,12 +229,13 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        net, utilities, config = load_scenario(args.scenario)
-    except (ParseError, ScenarioValidationError) as exc:
+        seed = perturbation_seed()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if (setup := _setup(args)) is None:
+        return 2
+    net, utilities, config, out = setup
 
     t0 = time.perf_counter()
     res = solve(net, utilities, config)
@@ -253,7 +263,6 @@ def cmd_validate(args) -> int:
     # only a machine-precision fixed point can survive the sampled
     # improvement test, so re-run to a tight tolerance first
     polished = polish(net, utilities, res, config)
-    seed = perturbation_seed()
     report = local_opt_test(net, utilities, polished.x, radius=2.0,
                             samples=1000, seed=seed)
     verdict = utility_ok or report.passed

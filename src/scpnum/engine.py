@@ -38,7 +38,6 @@ are bitwise-identical.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import ClassVar, NamedTuple
@@ -46,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .network import Network
-from .utility import SCurveUtility, finite_real, finite_reals
+from .utility import SCurveUtility, finite_real, finite_reals, integer
 
 __all__ = [
     "SolverConfig",
@@ -80,16 +79,14 @@ class NonPositiveExpansionPointError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration parameters. Each rate and price, and gamma and epsilon,
-    is a finite real number, Python or numpy (not a bool or a str),
-    stored as a float.
+    is a finite real (see ``utility.finite_real``), stored as a float.
 
     gamma
         Price step size, > 0.
     epsilon
-        Stopping tolerance on max per-source rate change, Kbps.
+        Stopping tolerance on max per-source rate change, Kbps, > 0.
     max_iter
-        Iteration cap, an integer >= 1 (a Python or numpy integer, not a
-        bool), stored as an int.
+        Iteration cap, an integer >= 1 (Python or numpy), stored as an int.
     mu0
         Initial link price, >= 0: one number, or a per-link sequence of
         them, stored as a tuple.
@@ -113,23 +110,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("gamma", "epsilon"):
-            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        # range() needs an integer; a bool is not a count
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        mu0 = (finite_real("mu0", self.mu0) if isinstance(self.mu0, numbers.Real)
-               else finite_reals("mu0", self.mu0))
-        object.__setattr__(self, "mu0", mu0)
+            object.__setattr__(self, name, finite_real(name, getattr(self, name), gt=0.0))
+        object.__setattr__(self, "max_iter", integer("max_iter", self.max_iter, ge=1))
         # zero is allowed: warm restarts carry mu=0 on inactive links
-        if np.any(np.asarray(mu0) < 0.0):
-            raise ValueError("mu0 must be >= 0")
+        read = finite_reals if isinstance(self.mu0, (tuple, list, np.ndarray)) else finite_real
+        object.__setattr__(self, "mu0", read("mu0", self.mu0, ge=0.0))
         if self.x0 is not None:
             object.__setattr__(self, "x0", finite_reals("x0", self.x0))
 

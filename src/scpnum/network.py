@@ -7,13 +7,14 @@ repeated runs accumulate floating point in the same order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+
+from .utility import finite_real, integer
 
 __all__ = [
     "Network",
@@ -193,26 +194,27 @@ def build_network(links, routes) -> Network:
     ------
     DuplicateIdError, NonPositiveCapacityError, EmptyRouteError,
     UnknownLinkError
-        and ValueError for a capacity that is NaN or infinite, or for a
-        network with no sources (there is nothing to allocate, and the
-        oracle's grid scan needs at least one axis).
+        and ValueError for an id that is not an integer, a capacity that
+        is not a finite real (see ``utility.finite_real``), or a network
+        with no sources (there is nothing to allocate, and the oracle's
+        grid scan needs at least one axis).
     """
-    link_list = sorted((int(lid), float(cap)) for lid, cap in links)
-    seen: set[int] = set()
-    for lid, cap in link_list:
-        if lid in seen:
+    capacity: dict[int, float] = {}
+    for lid, cap in links:
+        lid = integer("link id", lid)
+        if lid in capacity:
             raise DuplicateIdError(f"duplicate link id {lid}")
-        seen.add(lid)
-        if not math.isfinite(cap):
-            raise ValueError(f"link {lid} capacity {cap} must be finite")
+        cap = capacity[lid] = finite_real(f"link {lid} capacity", cap)
         if cap <= 0.0:
             raise NonPositiveCapacityError(f"link {lid} capacity {cap} must be > 0")
+    link_list = sorted(capacity.items())
 
-    route_list = sorted((int(sid), tuple(sorted({int(l) for l in route}))) for sid, route in routes)
+    route_list = sorted((integer("source id", sid),
+                         tuple(sorted({integer("route link id", l) for l in route})))
+                        for sid, route in routes)
     if not route_list:
         raise ValueError("a network needs at least one source")
-    seen.clear()
-    declared = {lid for lid, _ in link_list}
+    seen: set[int] = set()
     for sid, route in route_list:
         if sid in seen:
             raise DuplicateIdError(f"duplicate source id {sid}")
@@ -220,7 +222,7 @@ def build_network(links, routes) -> Network:
         if not route:
             raise EmptyRouteError(f"source {sid} has an empty route")
         for lid in route:
-            if lid not in declared:
+            if lid not in capacity:
                 raise UnknownLinkError(f"source {sid} routed over undeclared link {lid}")
 
     link_ids = tuple(lid for lid, _ in link_list)
@@ -278,14 +280,12 @@ def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
     ------
     ValueError
         If ``x`` or ``bounds`` does not have one entry per source, or
-        ``tol`` is not finite and >= 0.
+        ``tol`` is not a finite real >= 0 (see ``utility.finite_real``).
     """
     for name, values in (("x", x), ("bounds", bounds)):
         if len(values) != net.n_sources:
             raise ValueError(f"{name} must have {net.n_sources} entries, got {len(values)}")
-    # each test is written so that a NaN fails it
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = finite_real("tol", tol, ge=0.0)
     violations: list[Violation] = []
     for j, sid in enumerate(net.source_ids):
         lo, hi = bounds[j]

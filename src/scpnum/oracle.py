@@ -11,14 +11,13 @@ convexity.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network, is_feasible
-from .utility import eval_scurve
+from .utility import eval_scurve, finite_real, integer
 
 __all__ = [
     "GridSpec",
@@ -81,10 +80,9 @@ class GridSpec:
     the incumbent. feas_tol is the Kbps slack allowed when keeping a
     grid point. max_evals_per_pass caps points_per_dim**S.
 
-    The counts must be integers (not bools), points_per_dim >= 2,
-    refinement_passes >= 0 and max_evals_per_pass >= 1; feas_tol must be
-    finite and >= 0. Anything else raises ValueError. The counts are
-    stored as Python ints.
+    The counts are integers, stored as ints: points_per_dim >= 2,
+    refinement_passes >= 0, max_evals_per_pass >= 1; feas_tol is a
+    finite real >= 0 (see ``utility.finite_real``), stored as a float.
     """
 
     points_per_dim: int = 64
@@ -93,19 +91,11 @@ class GridSpec:
     max_evals_per_pass: int = 2 ** 30
 
     def __post_init__(self):
+        # a numpy integer would wrap in points_per_dim ** S
         for name, least in (("points_per_dim", 2), ("refinement_passes", 0),
                             ("max_evals_per_pass", 1)):
-            v = getattr(self, name)
-            # linspace and range need integers; a bool is not a count
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < least:
-                raise ValueError(f"{name} must be >= {least}, got {v}")
-            # a numpy integer would wrap in points_per_dim ** S
-            object.__setattr__(self, name, int(v))
-        # written so that a NaN fails it
-        if not 0.0 <= self.feas_tol < math.inf:
-            raise ValueError(f"feas_tol must be finite and >= 0, got {self.feas_tol!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), ge=least))
+        object.__setattr__(self, "feas_tol", finite_real("feas_tol", self.feas_tol, ge=0.0))
 
 
 @dataclass(frozen=True)
@@ -142,9 +132,13 @@ def total_utility(utilities, x) -> float:
 
 
 def perturbation_seed() -> int:
-    """Perturbation seed, honoring the SCPNUM_SEED environment variable."""
+    """Perturbation seed: SCPNUM_SEED when it is set and not empty, else
+    the default. ValueError unless it is a non-negative integer."""
     raw = os.environ.get("SCPNUM_SEED")
-    return int(raw) if raw else DEFAULT_PERTURBATION_SEED
+    try:
+        return integer("SCPNUM_SEED", int(raw), ge=0) if raw else DEFAULT_PERTURBATION_SEED
+    except ValueError:
+        raise ValueError(f"SCPNUM_SEED must be a non-negative integer, got {raw!r}") from None
 
 
 def _front(buf, shape):
@@ -510,26 +504,24 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     Raises
     ------
     ValueError
-        If samples is not an integer >= 1 (a bool is not a count), radius
-        is not finite and > 0, or a tolerance is not finite and >= 0.
+        Naming the argument, unless samples is an integer >= 1, seed None
+        or an integer >= 0, radius a finite real > 0 and each tolerance a
+        finite real >= 0 (see ``utility.finite_real``).
     InfeasibleCandidateError
         If x_star itself is infeasible at feas_tol.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    # each test is written so that a NaN fails it
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-    for name, tol in (("feas_tol", feas_tol), ("improvement_tol", improvement_tol)):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    samples = integer("samples", samples, ge=1)
+    radius = finite_real("radius", radius, gt=0.0)
+    feas_tol = finite_real("feas_tol", feas_tol, ge=0.0)
+    improvement_tol = finite_real("improvement_tol", improvement_tol, ge=0.0)
+    seed = perturbation_seed() if seed is None else integer("seed", seed, ge=0)
     x_star = np.asarray(x_star, dtype=float)
     bounds = [(u.m, u.big_m) for u in utilities]
     rep = is_feasible(net, x_star, bounds, feas_tol)
     if not rep.ok:
         raise InfeasibleCandidateError(f"candidate infeasible: {rep.violations}")
 
-    rng = np.random.default_rng(perturbation_seed() if seed is None else seed)
+    rng = np.random.default_rng(seed)
     base_u = total_utility(utilities, x_star)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -562,14 +554,12 @@ def fd_gradient_check(fn, point, step: float = 1e-6, bounds=None) -> float:
     Raises
     ------
     ValueError
-        If step is not finite and > 0.
+        Unless step is a finite real > 0 (see ``utility.finite_real``).
     DomainBoundaryError
         If ``bounds=(lo, hi)`` is given and any stencil point x +- step*e_i
         is not inside [lo, hi] (a NaN bound or coordinate is not).
     """
-    # written so that a NaN fails it
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    step = finite_real("step", step, gt=0.0)
     x = np.asarray(point, dtype=float)
     value, grad = fn(x)
     grad = np.asarray(grad, dtype=float)

@@ -33,13 +33,14 @@ class NegativeTransformedRateError(ValueError):
     """Transformed rate must be non-negative to map back to Kbps."""
 
 
-def finite_real(name: str, value, index: int | None = None) -> float:
-    """The one check of a numeric constructor argument: a finite real
-    number, Python or numpy, returned as a float. A bool, a str, anything
-    else, or a number that is not finite raises ValueError naming the
-    field, as ``name[index]`` when the value is an entry of a sequence."""
-    if type(value) is float and math.isfinite(value):  # skips the slower ABC check
-        return value
+def finite_real(name: str, value, index: int | None = None,
+                gt: float | None = None, ge: float | None = None) -> float:
+    """The one check of a real library argument: a finite real number,
+    Python or numpy, returned as a float, and ``> gt`` or ``>= ge`` when
+    given. Anything else, a bool or a str included, raises ValueError
+    naming the argument, as ``name[index]`` for an entry of a sequence."""
+    if type(value) is float and math.isfinite(value) and gt is None and ge is None:
+        return value  # skips the slower ABC check
     label = name if index is None else f"{name}[{index}]"
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{label} must be a real number, got {value!r}")
@@ -49,15 +50,31 @@ def finite_real(name: str, value, index: int | None = None) -> float:
         raise ValueError(f"{label} is too large for a float") from None
     if not math.isfinite(value):
         raise ValueError(f"{label} must be finite, got {value}")
+    if gt is not None and value <= gt:
+        raise ValueError(f"{label} must be > {gt:g}, got {value}")
+    if ge is not None and value < ge:
+        raise ValueError(f"{label} must be >= {ge:g}, got {value}")
     return value
 
 
-def finite_reals(name: str, values) -> tuple[float, ...]:
-    """A tuple, list or 1-d array of finite_real entries, as a tuple; a
-    str or a scalar is not a sequence."""
+def finite_reals(name: str, values, ge: float | None = None) -> tuple[float, ...]:
+    """A tuple, list or 1-d array of finite_real entries, each ``>= ge``
+    when given, as a tuple; a str or a scalar is not a sequence."""
     if not isinstance(values, (tuple, list, np.ndarray)) or getattr(values, "ndim", 1) != 1:
         raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
-    return tuple(finite_real(name, v, i) for i, v in enumerate(values))
+    return tuple(finite_real(name, v, i, None, ge) for i, v in enumerate(values))
+
+
+def integer(name: str, value, ge: int | None = None) -> int:
+    """The one check of an integer library argument: a Python or numpy
+    integer (not a bool), returned as an int, and ``>= ge`` when given."""
+    if type(value) is not int:  # skips the slower ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if ge is not None and value < ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

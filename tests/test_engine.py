@@ -302,6 +302,9 @@ def test_solver_config_has_one_price_order():
     ("x0", "12"), ("x0", ("1", "2")), ("x0", (True,)), ("x0", np.float64(3.0)),
     ("x0", np.array(3.0)),
     ("mu0", (True, 0.1)), ("mu0", ("0.1",)), ("gamma", True), ("epsilon", True),
+    # out of range, also as a numpy scalar or a sequence entry
+    ("gamma", np.float64(-1.0)), ("epsilon", 0.0), ("mu0", (0.1, -0.1)),
+    ("mu0", np.array([0.1, -0.1])),
 ])
 def test_solver_config_rejects_nonfinite(field, value):
     with pytest.raises(ValueError):

@@ -100,10 +100,31 @@ def test_nonpositive_capacity_rejected():
         build_network([(1, -5.0)], [(1, (1,))])
 
 
-@pytest.mark.parametrize("cap", [math.nan, math.inf])
+@pytest.mark.parametrize("cap", [math.nan, math.inf, True, "300", None])
 def test_nonfinite_capacity_rejected(cap):
     with pytest.raises(ValueError):
         build_network([(1, cap)], [(1, (1,))])
+
+
+@pytest.mark.parametrize("links,routes,name", [
+    ([(True, 300.0)], [(1, (1,))], "link id"),
+    ([(1.7, 300.0)], [(1, (1,))], "link id"),
+    ([(1, 300.0)], [("2", (1,))], "source id"),
+    ([(1, 300.0)], [(True, (1,))], "source id"),
+    ([(1, 300.0)], [(1, (1.2,))], "route link id"),
+], ids=["bool-link", "float-link", "str-source", "bool-source", "float-route-link"])
+def test_non_integer_ids_rejected(links, routes, name):
+    with pytest.raises(ValueError, match=name):
+        build_network(links, routes)
+
+
+def test_numpy_ids_and_capacities_are_stored_as_python_numbers():
+    net = build_network([(np.int64(2), np.float32(300.5)), (np.uint8(1), np.int64(40))],
+                        [(np.int32(7), (np.int64(1), 2))])
+    assert net.link_ids == (1, 2) and net.capacities == (40.0, 300.5)
+    assert net.source_ids == (7,) and net.routes == ((1, 2),)
+    assert all(type(v) is int for v in net.link_ids + net.source_ids + net.routes[0])
+    assert all(type(c) is float for c in net.capacities)
 
 
 def test_link_load_sums_routed_sources():
@@ -128,7 +149,8 @@ def test_feasibility_pass_and_tolerance():
     assert not is_feasible(net, (40.0, 61.0), bounds, tol=0.5).ok
 
 
-@pytest.mark.parametrize("tol", [math.nan, -100.0, -1e-12, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -100.0, -1e-12, math.inf, -math.inf,
+                                 True, "0.5", None])
 def test_feasibility_rejects_bad_tolerance(tol):
     # x = 5 on a 10 Kbps link is feasible at any good tolerance; a NaN or
     # negative one used to fail it, and an infinite one passed any x

@@ -381,7 +381,7 @@ def test_grid_spec_validation():
                 GridSpec(**{field: value})
     with pytest.raises(ValueError, match="max_evals_per_pass"):
         GridSpec(max_evals_per_pass=0)
-    for value in (-1.0, float("nan"), float("inf"), -float("inf")):
+    for value in (-1.0, float("nan"), float("inf"), -float("inf"), True, "0.1", None):
         with pytest.raises(ValueError, match="feas_tol"):
             GridSpec(feas_tol=value)
     # numpy integers are counts, stored as Python ints
@@ -389,6 +389,10 @@ def test_grid_spec_validation():
                     max_evals_per_pass=np.int64(512), feas_tol=0.0)
     assert type(spec.points_per_dim) is int and spec.points_per_dim == 8
     assert type(spec.max_evals_per_pass) is int
+    # and a numpy float is a tolerance, stored as a Python float
+    spec = GridSpec(points_per_dim=np.int64(16), feas_tol=np.float64(1e-6))
+    assert type(spec.points_per_dim) is int and spec.points_per_dim == 16
+    assert type(spec.feas_tol) is float and spec.feas_tol == 1e-6
 
 
 def test_local_opt_accepts_saturated_source():
@@ -424,12 +428,16 @@ def test_local_opt_fails_without_a_feasible_sample():
                                 dict(radius=-2.0), dict(radius=0.0), dict(radius=float("inf")),
                                 dict(feas_tol=-1e-6), dict(feas_tol=float("nan")),
                                 dict(improvement_tol=float("inf")),
-                                dict(improvement_tol=-1.0)],
+                                dict(improvement_tol=-1.0),
+                                # a bool is not a number, nor is a str
+                                dict(radius=True), dict(radius="2"),
+                                dict(improvement_tol=True), dict(seed=True),
+                                dict(seed=-1), dict(seed=1.5)],
                          ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_local_opt_rejects_bad_arguments(kw):
     net, utilities = capped_single_source(300.0)
     with pytest.raises(ValueError, match=next(iter(kw))):
-        local_opt_test(net, utilities, np.array([200.0]), seed=12, **kw)
+        local_opt_test(net, utilities, np.array([200.0]), **{"seed": 12, **kw})
 
 
 def test_local_opt_infeasible_candidate():
@@ -497,6 +505,12 @@ def test_perturbation_seed_env_override(monkeypatch):
     assert perturbation_seed() == DEFAULT_PERTURBATION_SEED
     monkeypatch.setenv("SCPNUM_SEED", "4242")
     assert perturbation_seed() == 4242
+    monkeypatch.setenv("SCPNUM_SEED", "")
+    assert perturbation_seed() == DEFAULT_PERTURBATION_SEED
+    for raw in ("abc", "1.5", "-5"):
+        monkeypatch.setenv("SCPNUM_SEED", raw)
+        with pytest.raises(ValueError, match="SCPNUM_SEED"):
+            perturbation_seed()
 
 
 def test_fd_gradient_check_accepts_correct_gradient():
@@ -532,7 +546,7 @@ def test_fd_gradient_check_fails_on_nan():
         assert math.isnan(fd_gradient_check(fn, np.array([1.0, 2.0]), step=1e-5))
 
 
-@pytest.mark.parametrize("step", [math.nan, 0.0, -1e-6, math.inf])
+@pytest.mark.parametrize("step", [math.nan, 0.0, -1e-6, math.inf, True, "1e-6"])
 def test_fd_gradient_check_rejects_bad_step(step):
     def f(x):
         return float(np.sum(x ** 2)), 2.0 * x

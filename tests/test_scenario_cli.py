@@ -474,6 +474,23 @@ def test_cli_validate_budget_guard(tmp_path, capsys):
     assert "5-source" in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_rejects_an_unusable_out(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    assert main([command, "chain-3", "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-5"])
+def test_cli_validate_rejects_a_bad_seed_before_solving(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("SCPNUM_SEED", raw)
+    monkeypatch.setattr("scpnum.cli.solve", lambda *a: pytest.fail("solved before the seed"))
+    assert main(["validate", "chain-3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: SCPNUM_SEED")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_no_feasible_grid_point(tmp_path, capsys):
     # two 1 Kbps minima on a 1.5 Kbps link fit within run's feas_tol of
     # 0.5 Kbps, but no grid point fits within the oracle's 1e-6
