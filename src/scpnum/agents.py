@@ -1,33 +1,33 @@
 """Distributed execution of the price/rate loop as message-passing agents.
 
-Link agents own prices, source agents own rates, and all cross-agent
-state moves through explicit messages in synchronous two-phase rounds:
-links update and announce prices, then sources update and report rates.
+Link agents own prices and loads, source agents own rates, and all
+cross-agent state moves through explicit messages in synchronous
+rounds. A round is one :meth:`scpnum.engine.Model.step`, the engine's
+own iteration, whose four phases are each one kind of agent acting on
+what it owns and on what the last barrier delivered:
 
-Each agent owns its pairs of the engine's incidence list
-(:class:`scpnum.engine.Incidence`): link i owns mu[i] and a mailbox of
-its sources' reports (x̃, x̃_prev); source j owns x̃, x̃_prev, x and
-rho and a mailbox of its route's prices in route order, which it sums
-in the round they are delivered. The report mailboxes are laid out in
-rank-major order (``rank_link``/``rank_src``): every link's first
-slot, then every link's second, and so on, so a link's slots are
-interleaved with those of other links, and each link still adds its
-reports in ascending source order. Mailboxes are written only from the
-values of delivered messages, each filled by one gather from the
-senders' values: a price mailbox from mu (``mu[route_link]``), the
-reports from x̃ (``x̃[rank_src]``). Each phase runs a kernel once over
-all agents; every output reads only its own agent's slots and the sums
-add each agent's slots in that order, so the trace is bit-identical to
-``engine.solve`` on the same inputs. A broadcast carries one value
-per sender, so the log (:class:`MessageLog`) keeps each phase as one
-block of the senders' values.
+1. every link steps its price against the tangent load it summed in
+   the round before and announces it to the sources on it; a barrier
+   delivers the price updates;
+2. every source sums the prices delivered from its route;
+3. every source picks its rate against that path price and reports its
+   new x̃, with the x̃ before it, to each link on its route; a barrier
+   delivers the reports;
+4. every link sums its true load g and its tangent load ĝ, expanded at
+   the reports' x̃_prev, from the reports delivered to it.
 
-Links sum their loads when the reports are delivered: the true load g
-and the tangent load ĝ of x̃ expanded at x̃_prev. What a link keeps of
-its mailbox is those two sums and, per incidence, the delivered x̃ and
-its x̃**p: the expansion point and the first term of the next round's
-tangent, so the x̃_prev of a report is the x̃ its link already holds.
-The link prices against the stored ĝ in the next round.
+Each phase runs one kernel over all agents, and every output reads only
+its own agent's inputs. A link's load terms depend only on the
+reporting source's values, so each is computed once per source and
+summed by every link on its route. Since a round is the engine's step,
+the agents' trace is the engine's, bit for bit.
+
+The message log (:class:`MessageLog`) is the protocol's record. Each
+phase that sends is one block of its senders' values: a round's price
+updates, one per (link, source) pair on the routing, then its rate
+reports, one per (source, link) pair, 2·nnz messages in all, plus the
+round-0 reports that seed the links' first loads. :func:`audit_locality`
+checks from the log that every message crossed a routed pair.
 
 The rounds are the step of the engine's driver loop
 (:func:`scpnum.engine.iterate`). Its stopping rule (max rate change
@@ -38,21 +38,10 @@ monitor reads the links' load sums; it evaluates no kernel of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .engine import (
-    IterateState,
-    Model,
-    SolverConfig,
-    g_hat_terms,
-    iterate,
-    price_step,
-    rates,
-    sums,
-)
+from .engine import IterateState, Model, SolverConfig, iterate
 from .network import Network
 
 __all__ = [
@@ -126,43 +115,18 @@ class MessageLog:
 
 @dataclass
 class Agents:
-    """Every link and source agent, one array per field.
+    """Every link and source agent, as one :class:`IterateState`.
 
-    ``state`` holds what the agents own: mu per link; x̃, x̃_prev, x, rho
-    and x̃**p per source; and per link the loads g and ĝ its agent summed
-    from the last delivered reports. ``r``, ``p`` and ``p_minus_1`` are
-    each incidence's source constants in rank-major order. ``xt`` and
-    ``w`` are the report mailbox, in rank-major order: the x̃ of each
-    incidence's last delivered report and its x̃**p (of the initial
-    rates before the first delivery). ``ends`` and ``senders`` are the
-    :class:`MessageLog`'s per-kind id tuples and sender indices.
+    ``state`` holds what the agents own: mu and the loads g and ĝ per
+    link; x̃, x̃_prev, x, rho and x̃**p per source. ``ends`` and
+    ``senders`` are the :class:`MessageLog`'s per-kind id tuples and
+    sender indices.
     """
 
     model: Model
     state: IterateState
-    r: np.ndarray
-    p: np.ndarray
-    p_minus_1: np.ndarray
-    xt: np.ndarray
-    w: np.ndarray
     ends: dict
     senders: dict
-
-
-def _report(agents: Agents, t: int, x_tilde, x_tilde_prev) -> tuple:
-    """Every source reports (x̃, x̃_prev) to each link on its route, in
-    (source, link id) order; the barrier delivers the reports and each
-    link sums its true and tangent loads from them, expanded at the x̃
-    of the report it holds from the round before, which is x̃_prev.
-    Returns the block of reports and the links' loads (g, ĝ)."""
-    m = agents.model
-    xt = x_tilde[m.rank_src]
-    w = np.power(xt, agents.p)
-    g = sums(m.rank_link, agents.r * w, m.n_links)
-    ghat = sums(m.rank_link, g_hat_terms(agents.r, agents.p, xt, agents.xt, agents.w,
-                                         agents.p_minus_1), m.n_links)
-    agents.xt, agents.w = xt, w
-    return (t, RATE_REPORT, x_tilde, x_tilde_prev), g, ghat
 
 
 def build_agents(net: Network, utilities, config: SolverConfig):
@@ -176,37 +140,25 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     state = model.initial_state(config)
     ends = dict(zip((PRICE_UPDATE, RATE_REPORT), net.incidence_ids))
     senders = {PRICE_UPDATE: model.link, RATE_REPORT: model.route_src}
-    c = model.curves
-    slot = model.rank_src
-    agents = Agents(model, state, r=c.r[slot], p=c.p[slot], p_minus_1=c.p_minus_1[slot],
-                    xt=state.x_tilde_prev[slot], w=state.w[slot], ends=ends, senders=senders)
-    block, g, ghat = _report(agents, 0, state.x_tilde, state.x_tilde_prev)
-    agents.state = replace(state, g=g, g_hat=ghat)
-    return agents, MessageLog(ends, senders, [block])
+    block = (0, RATE_REPORT, state.x_tilde, state.x_tilde)
+    return Agents(model, state, ends, senders), MessageLog(ends, senders, [block])
 
 
 def run_round(agents: Agents, t: int, config: SolverConfig) -> MessageLog:
-    """One synchronous round: price phase, barrier, rate phase, barrier.
+    """Round t, which must follow the agents' last round: one
+    :meth:`Model.step`, whose price and rate phases each end at a barrier
+    that delivers their messages.
 
-    Agents read only messages delivered at the preceding barrier.
     Returns the round's messages in emission order: price updates in
     (link, source id) order, then rate reports in (source, link id)
     order.
     """
-    m, s = agents.model, agents.state
-
-    # phase A: every link prices against the tangent load of its reports
-    mu = price_step(s.mu, config.gamma, m.capacities, s.g_hat)
-
-    # barrier: the price mailboxes, route-order slot k from link route_link[k]
-    prices = mu[m.route_link]
-
-    # phase B: every source sums the prices just delivered and updates its rate
-    rho = sums(m.route_src, prices, m.n_sources)
-    xt, x, w = rates(m.curves, s.x_tilde, rho)
-    block, g, ghat = _report(agents, t, xt, s.x_tilde)
-    agents.state = IterateState(t, xt, s.x_tilde, mu, rho, x, g, ghat, w)
-    return MessageLog(agents.ends, agents.senders, [(t, PRICE_UPDATE, mu, None), block])
+    s = agents.state
+    if t != s.t + 1:
+        raise ValueError(f"round {t} does not follow round {s.t}")
+    agents.state = new = agents.model.step(s, config.gamma)
+    return MessageLog(agents.ends, agents.senders,
+                      [(t, PRICE_UPDATE, new.mu, None), (t, RATE_REPORT, new.x_tilde, s.x_tilde)])
 
 
 def run_to_convergence(net: Network, utilities, config: SolverConfig | None = None):

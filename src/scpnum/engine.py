@@ -30,10 +30,11 @@ steady test and the next price step's input alike.
 
 :func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
 schedulers over one driver loop, :func:`iterate`, which owns the
-stopping test, the trace and the result. The engine steps all
-sources at once, the agents run one message round in which each link
-and source owns its pairs of the incidence list, and the two traces
-are bitwise-identical.
+stopping test, the trace and the result, and over one iteration,
+:meth:`Model.step`, which holds all of an iteration's arithmetic. The
+engine calls the step directly; the agents run it as one message round
+and log the prices and rate reports its phases send. The two traces
+are therefore bitwise-identical.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class IterateState:
 
     The iterate carries its loads: g and g_hat are the per-link true and
     tangent loads at (x_tilde, x_tilde_prev), and w = x_tilde**p per
-    source is the first term of the next tangent. The schedulers fill
-    them in; a state built by hand may leave them None.
+    source is the first term of the next tangent. ``Model.initial_state``
+    and ``Model.step`` fill them in; a state built by hand may leave
+    them None.
     """
 
     t: int
@@ -176,7 +178,7 @@ class AllocationResult:
 
 
 # ---------------------------------------------------------------------------
-# array kernels, shared with scpnum.agents
+# array kernels and the Model that both schedulers step
 
 class Curves(NamedTuple):
     """Per-source constants of the kernels, one array per field, aligned
@@ -360,6 +362,18 @@ class Model(Incidence):
         return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0,
                             *self.loads(xt, xt, w, w), w)
 
+    def step(self, s: IterateState, gamma: float) -> IterateState:
+        """The iteration after ``s``, in four phases: every link steps its
+        price against the tangent load ĝ it carries, every source sums
+        the new prices on its route, every source picks its rate against
+        that path price, and every link sums the true and tangent loads
+        of the new rates."""
+        mu = price_step(s.mu, gamma, self.capacities, s.g_hat)
+        rho = self.path_prices(mu)
+        xt, x, w = rates(self.curves, s.x_tilde, rho)
+        return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x,
+                            *self.loads(xt, s.x_tilde, w, s.w), w)
+
 
 # ---------------------------------------------------------------------------
 # the driver and the engine's scheduler
@@ -417,15 +431,8 @@ def solve(net: Network, utilities, config: SolverConfig | None = None) -> Alloca
     if config is None:
         config = SolverConfig()
     model = Model(net, utilities)
-
-    def step(s: IterateState) -> IterateState:
-        mu = price_step(s.mu, config.gamma, model.capacities, s.g_hat)
-        rho = model.path_prices(mu)
-        xt, x, w = rates(model.curves, s.x_tilde, rho)
-        return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x,
-                            *model.loads(xt, s.x_tilde, w, s.w), w)
-
-    return iterate(model, model.initial_state(config), config, step)
+    return iterate(model, model.initial_state(config), config,
+                   lambda s: model.step(s, config.gamma))
 
 
 def polish(net: Network, utilities, res: AllocationResult,

@@ -155,14 +155,6 @@ class Network:
         return {k: v for k, v in self.__dict__.items()
                 if k not in ("incidence", "incidence_ids")}
 
-    def routing_matrix(self) -> np.ndarray:
-        """Dense 0/1 incidence matrix, shape (n_links, n_sources)."""
-        mat = np.zeros((self.n_links, self.n_sources))
-        for j, route in enumerate(self.routes):
-            for lid in route:
-                mat[self.link_index[lid], j] = 1.0
-        return mat
-
 
 @dataclass(frozen=True)
 class Violation:

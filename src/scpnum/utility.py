@@ -39,7 +39,8 @@ def finite_real(name: str, value, index: int | None = None,
     Python or numpy, returned as a float, and ``> gt`` or ``>= ge`` when
     given. Anything else, a bool or a str included, raises ValueError
     naming the argument, as ``name[index]`` for an entry of a sequence."""
-    if type(value) is float and math.isfinite(value) and gt is None and ge is None:
+    if (type(value) is float and math.isfinite(value)
+            and (gt is None or value > gt) and (ge is None or value >= ge)):
         return value  # skips the slower ABC check
     label = name if index is None else f"{name}[{index}]"
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -106,14 +107,9 @@ class SCurveUtility:
     def __post_init__(self):
         if self.big_m is None:
             object.__setattr__(self, "big_m", self.r)
-        for name in ("r", "c1", "c2", "m", "big_m"):
-            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
-        if self.r <= 0.0:
-            raise ValueError(f"r must be > 0, got {self.r}")
-        if self.c1 <= 0.0:
-            raise ValueError(f"c1 must be > 0, got {self.c1}")
-        if self.c2 < 1.0:
-            raise ValueError(f"c2 must be >= 1, got {self.c2}")
+        for name, gt, ge in (("r", 0.0, None), ("c1", 0.0, None), ("c2", None, 1.0),
+                             ("m", None, None), ("big_m", None, None)):
+            object.__setattr__(self, name, finite_real(name, getattr(self, name), None, gt, ge))
         if not 0.0 < self.m < self.big_m:
             raise ValueError(f"need 0 < m < big_m, got m={self.m}, big_m={self.big_m}")
 

@@ -67,6 +67,14 @@ def gen_instance(rng: np.random.Generator):
     return build_network(links, routes), utilities
 
 
+def routing_matrix(net) -> np.ndarray:
+    """Dense 0/1 incidence matrix, shape (n_links, n_sources), built from
+    the network's CSR incidence list."""
+    mat = np.zeros((net.n_links, net.n_sources))
+    mat[net.incidence.link, net.incidence.src] = 1.0
+    return mat
+
+
 def recipe_x0(net, utilities) -> tuple[float, ...]:
     """Start each source above its knee and below its capacity share."""
     x0 = []

@@ -91,6 +91,21 @@ def test_message_counts():
     assert len(log) == nnz * (2 * rounds + 1)
 
 
+def test_run_round_takes_only_the_next_round():
+    # the state's t comes from Model.step, so a skipped or repeated round
+    # would log a round number other than its trace row's
+    net, utilities, config = load_scenario("chain-3")
+    agents, _ = build_agents(net, utilities, config)
+    for t in (0, 2, -1):
+        with pytest.raises(ValueError, match=f"^round {t} does not follow round 0$"):
+            run_round(agents, t, config)
+    assert agents.state.t == 0
+    run_round(agents, 1, config)
+    with pytest.raises(ValueError, match="^round 1 does not follow round 1$"):
+        run_round(agents, 1, config)
+    assert run_round(agents, 2, config).blocks[0][0] == agents.state.t == 2
+
+
 def test_round_message_phases():
     net, utilities, config = load_scenario("chain-3")
     agents, _ = build_agents(net, utilities, config)

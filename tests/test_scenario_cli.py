@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import COLLAPSE_CONFIG, crowded_instance, recipe_x0
+from helpers import COLLAPSE_CONFIG, crowded_instance, recipe_x0, routing_matrix
 import scpnum
 from scpnum import (
     BUILT_IN_SCENARIOS,
@@ -44,7 +44,7 @@ def test_shared_link_built_in_shape():
     net, utilities, config = load_scenario("paper-scenario-1")
     assert net.n_links == 1 and net.n_sources == 5
     assert net.capacities == (1000.0,)
-    assert np.array_equal(net.routing_matrix(), np.ones((1, 5)))
+    assert np.array_equal(routing_matrix(net), np.ones((1, 5)))
     assert [u.c2 for u in utilities] == [2.0, 4.0, 6.0, 8.0, 10.0]
     assert all(u.r == 256.0 and u.c1 == 6.0 for u in utilities)
     assert config.gamma == 1e-4

@@ -50,15 +50,15 @@ def test_scurve_accepts_arrays():
 
 
 def test_scurve_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r must be > 0, got 0\.0$"):
         SCurveUtility(r=0.0, c1=6.0, c2=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c1 must be > 0, got 0\.0$"):
         SCurveUtility(r=256.0, c1=0.0, c2=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c2 must be >= 1, got 0\.5$"):
         SCurveUtility(r=256.0, c1=6.0, c2=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 0 < m < big_m, got m=300\.0, big_m=256\.0$"):
         SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=300.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 0 < m < big_m, got m=0\.0, big_m=256\.0$"):
         SCurveUtility(r=256.0, c1=6.0, c2=2.0, m=0.0)
 
 
