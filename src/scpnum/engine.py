@@ -18,7 +18,11 @@ which adds strictly left to right; ``np.sum`` reorders the additions of
 slices of 8 or more elements and is never used for them. With every
 operand a 1-d array (numpy takes other paths for 0-d operands and some
 scalar exponents), the kernels give identical bits on a length-1 slice
-and on the full array.
+and on the full array. An iteration's true and tangent loads g and ĝ
+are one bincount: their per-source terms are the two rows of one
+(2, S) block, and a doubled rank-major index sums them into bins
+[0, L) for g and [L, 2L) for ĝ, each bin adding the same terms in the
+same order as a sum of its own row would.
 
 The iterate carries its own loads. The rate step computes
 w = x̃**p for the new rates once; r*w is both the rate in Kbps (before
@@ -26,7 +30,10 @@ clipping) and the per-source true-load term, and w is the first term of
 the next iteration's tangent, expanded at this x̃. Each iteration
 therefore evaluates one power for the new rates and one for the
 tangent's slope, and the per-link g and ĝ it sums are the trace row, the
-steady test and the next price step's input alike.
+steady test and the next price step's input alike. Every expansion
+point is a rate clipped to at least its window's floor lo, which
+:meth:`Model.initial_state` checks is > 0, so the iteration's tangent
+terms go unchecked; :func:`g_hat_terms` checks the points it is given.
 
 :func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
 schedulers over one driver loop, :func:`iterate`, which owns the
@@ -144,9 +151,9 @@ class IterateState:
     w: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """State after one iteration; metric is NaN on the t=0 row."""
+class TraceRecord(NamedTuple):
+    """State after one iteration; metric is NaN on the t=0 row. A
+    NamedTuple, so a changed copy is ``rec._replace(...)``."""
 
     t: int
     x: np.ndarray
@@ -228,6 +235,13 @@ def _slope(p, xt_prev, p_minus_1):
     return p * np.power(xt_prev, p_minus_1)
 
 
+def tangent_terms(r, p, xt, xt_prev, w_prev, p_minus_1, out=None):
+    """Per-source contributions to the tangent (linearized) link load,
+    expanded at xt_prev, unchecked (see :func:`g_hat_terms`), written
+    into ``out`` if given."""
+    return np.multiply(r, w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev), out=out)
+
+
 def g_hat_terms(r, p, xt, xt_prev, w_prev, p_minus_1):
     """Per-source contributions to the tangent (linearized) link load,
     expanded at xt_prev. ``w_prev`` is xt_prev**p, the load term a
@@ -243,7 +257,7 @@ def g_hat_terms(r, p, xt, xt_prev, w_prev, p_minus_1):
     if np.fmin.reduce(xt_prev, initial=np.inf) <= 0.0:
         raise NonPositiveExpansionPointError(
             f"expansion points must be > 0, got {np.min(xt_prev)}")
-    return r * (w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev))
+    return tangent_terms(r, p, xt, xt_prev, w_prev, p_minus_1)
 
 
 def price_step(mu, gamma: float, capacity, ghat):
@@ -260,11 +274,16 @@ def rates(c: Curves, xt_cur, rho):
     with w = x_tilde**p, so that r*w, x before its clip, is the
     source's true-load term (:func:`g_terms`).
     """
-    sat = rho < RHO_FLOOR  # vanishing path price: rate saturates
     a = c.log_k + c.one_minus_p * np.log(xt_cur)
-    # the floor only keeps log finite on saturated entries, which the
-    # outer where discards; every other entry has rho >= RHO_FLOOR
-    raw = np.where(sat, c.hi, (a - np.log(np.maximum(rho, RHO_FLOOR))) / c.c1)
+    # a vanishing path price saturates the rate at hi. The floor only
+    # keeps log finite on the entries the where discards, so with no
+    # such price both would leave every entry as it is (fmin skips NaN,
+    # as the elementwise test does)
+    if np.fmin.reduce(rho, initial=np.inf) < RHO_FLOOR:
+        raw = np.where(rho < RHO_FLOOR, c.hi,
+                       (a - np.log(np.maximum(rho, RHO_FLOOR))) / c.c1)
+    else:
+        raw = (a - np.log(rho)) / c.c1
     xt_new = np.minimum(np.maximum(raw, c.lo), c.hi)
     w = np.power(xt_new, c.p)
     # round-trip through the power map can land a hair outside [m, M]
@@ -281,36 +300,49 @@ def steady(g, ghat, capacities, tol: float) -> bool:
 class Incidence:
     """A network's routing as kernel inputs: the read-only arrays of its
     :class:`~scpnum.network.IncidenceArrays` (the CSR incidence list
-    ``link``/``src``, its route order ``route_link``/``route_src`` and
-    its rank-major order ``rank_link``/``rank_src``), which are built
-    once per network, and the link-sum and path-price kernels over them.
-    Link sums run in rank-major order: each link still adds its terms in
-    ascending source order.
+    ``link``/``src``, its route order ``route_link``/``route_src``, its
+    rank-major order ``rank_link``/``rank_src`` and that order doubled,
+    ``block_link``/``block_src``), which are built once per network, and
+    the link-sum and path-price kernels over them. Link sums run in
+    rank-major order: each link still adds its terms in ascending source
+    order. A (2, S) block of two per-source rows is summed by one
+    bincount over the doubled order, into bins [0, L) for its first row
+    and [L, 2L) for its second; each bin adds the same terms in the same
+    order as a sum of its row alone.
     """
 
     def __init__(self, net: Network):
         self.n_links = net.n_links
         self.n_sources = net.n_sources
         (self.capacities, self.link, self.src, self.route_link, self.route_src,
-         self.rank_link, self.rank_src) = net.incidence
+         self.rank_link, self.rank_src, self.block_link, self.block_src) = net.incidence
 
-    def link_sums(self, per_source) -> np.ndarray:
-        return sums(self.rank_link, per_source[self.rank_src], self.n_links)
+    def link_sums(self, terms) -> np.ndarray:
+        """Per-link sums of a per-source row of terms, shape (S,), or of
+        both rows of a (2, S) block, shape (2, L)."""
+        if terms.ndim == 1:
+            return sums(self.rank_link, terms[self.rank_src], self.n_links)
+        return sums(self.block_link, terms.reshape(-1)[self.block_src],
+                    2 * self.n_links).reshape(2, self.n_links)
 
     def path_prices(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
+        """Per-source sums of the float array mu along each route."""
         return sums(self.route_src, mu[self.route_link], self.n_sources)
 
 
 class Model(Incidence):
     """An Incidence, whose arrays are built once per network, plus its
-    sources' Curves, built once per solve."""
+    sources' Curves, built once per solve, and a (2, S) scratch block
+    that holds an iteration's true- and tangent-load terms while
+    :meth:`loads` sums them, so one Model sums one iteration at a time."""
 
     def __init__(self, net: Network, utilities):
         if len(utilities) != net.n_sources:
             raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
         super().__init__(net)
         self.curves = Curves.of(utilities)
+        self._block = np.empty((2, self.n_sources))
+        self._rows = tuple(self._block)
 
     def g_true(self, x_tilde) -> np.ndarray:
         c = self.curves
@@ -326,12 +358,17 @@ class Model(Incidence):
                                           xt_prev, w_prev, c.p_minus_1))
 
     def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
-        """Per-link (g, ĝ) at (x_tilde, x_tilde_prev) from the per-source
-        w = x_tilde**p and w_prev = x_tilde_prev**p."""
+        """Per-link (g, ĝ), the rows of one (2, L) array of sums, at
+        (x_tilde, x_tilde_prev) from the per-source w = x_tilde**p and
+        w_prev = x_tilde_prev**p. Every x_tilde_prev a scheduler passes
+        is a clipped rate, >= lo > 0 (:meth:`initial_state` checks lo),
+        so the tangent terms go unchecked."""
         c = self.curves
-        return (self.link_sums(c.r * w),
-                self.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev,
-                                           c.p_minus_1)))
+        true, tangent = self._rows
+        np.multiply(c.r, w, out=true)
+        tangent_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev, c.p_minus_1, out=tangent)
+        both = self.link_sums(self._block)
+        return both[0], both[1]
 
     def collapsed(self, s: IterateState, tol: float) -> bool:
         """Some source sits at the bottom of its rate window while a
@@ -357,6 +394,13 @@ class Model(Incidence):
                 raise ValueError(f"mu0 must have {self.n_links} entries, got {mu0.shape}")
         else:
             mu0 = np.full(self.n_links, float(config.mu0))
+        # every later expansion point is a rate clipped to >= lo
+        floor = np.flatnonzero(~(c.lo > 0.0))
+        if floor.size:
+            j = floor[0]
+            raise NonPositiveExpansionPointError(
+                f"expansion points must be > 0, but source index {j} has the "
+                f"transformed rate floor (m/r)**c2 = {c.lo[j]}")
         xt = np.minimum(np.maximum(transformed(c.r, c.c2, x0), c.lo), c.hi)
         w = np.power(xt, c.p)
         return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0,
@@ -367,7 +411,7 @@ class Model(Incidence):
         price against the tangent load ĝ it carries, every source sums
         the new prices on its route, every source picks its rate against
         that path price, and every link sums the true and tangent loads
-        of the new rates."""
+        of the new rates, both in one bincount."""
         mu = price_step(s.mu, gamma, self.capacities, s.g_hat)
         rho = self.path_prices(mu)
         xt, x, w = rates(self.curves, s.x_tilde, rho)
@@ -486,7 +530,7 @@ def update_prices(net: Network, utilities, state: IterateState, gamma: float) ->
 
 def path_prices(net: Network, mu) -> np.ndarray:
     """Per-source sum of link prices along the route, ascending link id."""
-    return Incidence(net).path_prices(mu)
+    return Incidence(net).path_prices(np.asarray(mu, dtype=float))
 
 
 def update_rates(net: Network, utilities, state: IterateState):
@@ -496,7 +540,7 @@ def update_rates(net: Network, utilities, state: IterateState):
     source's transformed window, so x is always within [m, M].
     """
     model = Model(net, utilities)
-    rho = model.path_prices(state.mu)
+    rho = model.path_prices(np.asarray(state.mu, dtype=float))
     xt, x, _ = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho)
     return xt, x, rho
 

@@ -59,6 +59,13 @@ class IncidenceArrays(NamedTuple):
     and so on. Each link's pairs keep their ascending source order, so
     ``np.bincount`` over that order adds each link's terms in the CSR
     order, with no one link's additions in a single dependent chain.
+    ``block_link``/``block_src`` are the rank-major pairs twice, 2·nnz
+    entries: once as they are, then with every link index raised by L
+    and every source index by S. They index a flattened (2, S) block of
+    two per-source rows, and one ``np.bincount`` over them sums the
+    first row into bins [0, L) and the second into bins [L, 2L), each
+    bin in the order of the rank-major sum of its row alone;
+    ``rank_link``/``rank_src`` are views of their first halves.
     ``capacities`` is aligned with the link ids.
     """
 
@@ -69,6 +76,8 @@ class IncidenceArrays(NamedTuple):
     route_src: np.ndarray
     rank_link: np.ndarray
     rank_src: np.ndarray
+    block_link: np.ndarray
+    block_src: np.ndarray
 
 
 def _incidence_arrays(net: Network) -> IncidenceArrays:
@@ -81,8 +90,11 @@ def _incidence_arrays(net: Network) -> IncidenceArrays:
     # each pair's rank within its link
     starts = np.cumsum(counts) - counts
     by_rank = np.argsort(np.arange(net.nnz) - starts[link], kind="stable")
+    block_link = np.concatenate((link[by_rank], link[by_rank] + net.n_links))
+    block_src = np.concatenate((src[by_rank], src[by_rank] + net.n_sources))
     arrays = IncidenceArrays(np.array(net.capacities, dtype=float), link, src,
-                             link[route], src[route], link[by_rank], src[by_rank])
+                             link[route], src[route], block_link[:net.nnz],
+                             block_src[:net.nnz], block_link, block_src)
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -218,12 +218,31 @@ def _tail_bound(grids, utils, links):
     here run in another order than the scan's, so every slack is raised
     by BUDGET_PAD Kbps and the bound by a relative BOUND_PAD (utilities
     are positive): a block is skipped only when it is strictly worse.
+
+    With one free source no link has two, so the bound is the
+    per-source one and nothing else is built; with none free it is the
+    prefix's utility wherever the prefix fits.
     """
     lows = [g[0] for g in grids]
-    singles = [_best_within(g - lo, u) for g, lo, u in zip(grids, lows, utils)]
-    crossed = [[l for l, (on, _) in enumerate(links) if b in on] for b in range(len(grids))]
     headroom = np.array([limit + BUDGET_PAD - sum((lows[b] for b in on), 0.0)
                          for on, limit in links])[:, None]
+    if not grids:
+        return lambda prefix_u, prefix_load: np.where(
+            (headroom - prefix_load >= 0.0).all(axis=0), prefix_u, -np.inf) * (1.0 + BOUND_PAD)
+    singles = [_best_within(g - lo, u) for g, lo, u in zip(grids, lows, utils)]
+    crossed = [[l for l, (on, _) in enumerate(links) if b in on] for b in range(len(grids))]
+
+    def per_source(slack):
+        """Each free source's best utility within the slack of its links,
+        and their sum (-inf where some slack is negative)."""
+        per = np.empty((len(grids),) + slack.shape[1:])
+        for b, (table, ls) in enumerate(zip(singles, crossed)):
+            per[b] = _at_budget(table, slack[ls].min(axis=0))
+        return per, np.where((slack >= 0.0).all(axis=0), per.sum(axis=0), -np.inf)
+
+    if len(grids) == 1:
+        return lambda prefix_u, prefix_load: (
+            (prefix_u + per_source(headroom - prefix_load)[1]) * (1.0 + BOUND_PAD))
 
     def sums(on):
         """The (extra load, utility) sums over every grid point of the sources on"""
@@ -240,10 +259,7 @@ def _tail_bound(grids, utils, links):
 
     def bound(prefix_u, prefix_load):
         slack = headroom - prefix_load
-        per = np.empty((len(grids),) + prefix_u.shape)
-        for b, (table, ls) in enumerate(zip(singles, crossed)):
-            per[b] = _at_budget(table, slack[ls].min(axis=0))
-        total = np.where((slack >= 0.0).all(axis=0), per.sum(axis=0), -np.inf)
+        per, total = per_source(slack)
         for l, loads, gains, table, off in meets:
             best = (_at_budget(table, slack[l][:, None] - loads) + gains).max(axis=1)
             total = np.minimum(total, best + per[off].sum(axis=0))

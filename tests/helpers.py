@@ -25,6 +25,7 @@ from scpnum import (
     solve,
     total_utility,
 )
+from scpnum.engine import RHO_FLOOR, IterateState, NonPositiveExpansionPointError
 
 REFERENCE_RATES = (117.9658, 191.1745, 219.3638, 232.2520, 239.2439)
 REFERENCE_UTILITY = 4.372301
@@ -154,3 +155,38 @@ def crowded_instance(seed: int = 0):
 COLLAPSE_CONFIG = {"gamma": 1e-5, "mu0": 1e-3, "epsilon": 1e-3}
 
 SCHEDULERS = {"engine": solve, "agents": lambda *args: run_to_convergence(*args)[0]}
+
+
+def reference_step(model, s, gamma: float) -> IterateState:
+    """``Model.step`` written out op for op as four separate phases,
+    calling no engine kernel: a price step on the prices taken as an
+    array, path prices, the rate step with its saturating where always
+    taken, and g and ĝ each summed on its own over the rank-major order,
+    with the checked tangent terms. Any edit to the engine's kernels
+    must keep its bits."""
+    c = model.curves
+    mu = np.maximum(0.0, np.asarray(s.mu, dtype=float) - gamma * (model.capacities - s.g_hat))
+    rho = np.bincount(model.route_src, weights=mu[model.route_link], minlength=model.n_sources)
+    sat = rho < RHO_FLOOR
+    a = c.log_k + c.one_minus_p * np.log(s.x_tilde)
+    raw = np.where(sat, c.hi, (a - np.log(np.maximum(rho, RHO_FLOOR))) / c.c1)
+    xt = np.minimum(np.maximum(raw, c.lo), c.hi)
+    w = np.power(xt, c.p)
+    x = np.minimum(np.maximum(c.r * w, c.m), c.big_m)
+    g, g_hat = reference_loads(model, xt, s.x_tilde, w, s.w)
+    return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x, g, g_hat, w)
+
+
+def reference_loads(model, xt, xt_prev, w, w_prev) -> tuple:
+    """Per-link (g, ĝ), each summed by its own bincount in rank-major
+    order, after checking the expansion points."""
+    c = model.curves
+    if np.fmin.reduce(xt_prev, initial=np.inf) <= 0.0:
+        raise NonPositiveExpansionPointError(f"expansion points must be > 0, got {xt_prev}")
+
+    def link_sums(per_source):
+        return np.bincount(model.rank_link, weights=per_source[model.rank_src],
+                           minlength=model.n_links)
+
+    return (link_sums(c.r * w),
+            link_sums(c.r * (w_prev + c.p * np.power(xt_prev, c.p_minus_1) * (xt - xt_prev))))

@@ -82,6 +82,16 @@ def test_g_hat_rejects_nonpositive_expansion():
             g_hat(net, utilities, np.array([0.5]), np.array([bad]), 1)
 
 
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_rate_floor_that_underflows_is_rejected(scheduler):
+    # (1/256)**200 underflows to 0, so a rate clipped to the floor would
+    # be an expansion point of 0; the iteration checks none of its own
+    net = build_network([(1, 300.0)], [(1, (1,))])
+    utilities = (SCurveUtility(r=256.0, c1=6.0, c2=200.0),)
+    with pytest.raises(NonPositiveExpansionPointError, match="source index 0"):
+        SCHEDULERS[scheduler](net, utilities, SolverConfig(gamma=1e-4, mu0=0.01))
+
+
 def test_g_hat_terms_expansion_check_on_nan():
     # an elementwise test: a NaN entry passes it, and a nonpositive entry
     # beside a NaN still fails it

@@ -7,9 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SCHEDULERS, crowded_instance, recipe_x0
-from scpnum import SCurveUtility, SolverConfig, build_network, run_to_convergence, solve
-from scpnum.engine import Curves, Model, g_hat_terms, g_terms, rates, sums
+import scpnum.engine
+
+from helpers import SCHEDULERS, crowded_instance, recipe_x0, reference_loads, reference_step
+from scpnum import (
+    SCurveUtility,
+    SolverConfig,
+    build_network,
+    load_scenario,
+    run_to_convergence,
+    solve,
+)
+from scpnum.engine import RHO_FLOOR, Curves, IterateState, Model, g_hat_terms, g_terms, rates, sums
 
 KERNEL_SEED = 20261017
 
@@ -105,6 +114,40 @@ def test_link_sums_add_each_link_in_source_order():
     assert np.array_equal(model.link_sums(per_source), np.array(expected))
 
 
+# whether some path price of the 60 steps is below RHO_FLOOR: the cases
+# cover both ways through the rate step
+SATURATES = {"crowded": True, "crowded-mu0-0": True, "paper-scenario-1": False,
+             "chain-3": True, "single-source": False}
+
+
+def step_case(case):
+    if not case.startswith("crowded"):
+        return load_scenario(case)
+    net, utilities = crowded_instance()
+    # zero start prices saturate the first rate step
+    kw = {"mu0": 0.0} if case == "crowded-mu0-0" else {}
+    return net, utilities, crowded_config(net, utilities, **kw)
+
+
+@pytest.mark.parametrize("case", SATURATES)
+def test_step_matches_the_reference_step(case):
+    net, utilities, config = step_case(case)
+    model = Model(net, utilities)
+    state = ref = model.initial_state(config)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        (ref.g, ref.g_hat), reference_loads(model, ref.x_tilde, ref.x_tilde, ref.w, ref.w)))
+    saturated = 0
+    for _ in range(60):
+        state, ref = model.step(state, config.gamma), reference_step(model, ref, config.gamma)
+        assert state.t == ref.t
+        for f in IterateState.__dataclass_fields__:
+            if f != "t":
+                a, b = getattr(state, f), getattr(ref, f)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (ref.t, f)
+        saturated += bool(np.any(ref.rho < RHO_FLOOR))
+    assert (saturated > 0) == SATURATES[case]
+
+
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_carried_loads_equal_fresh_kernels(scheduler):
     net, utilities = crowded_instance()
@@ -121,7 +164,7 @@ def test_carried_loads_equal_fresh_kernels(scheduler):
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
     calls = []
-    for name in ("g_true", "g_hat", "step"):
+    for name in ("g_true", "g_hat"):
         kernel = getattr(Model, name)
 
         def counted(self, *args, _kernel=kernel, _name=name):
@@ -129,16 +172,33 @@ def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
             return _kernel(self, *args)
 
         monkeypatch.setattr(Model, name, counted)
+    bincount, step = scpnum.engine.sums, Model.step
+    steps = []  # the bincounts each Model.step made
+
+    def counted_sums(*args):
+        calls.append("sums")
+        return bincount(*args)
+
+    def counted_step(self, *args):
+        before = calls.count("sums")
+        new = step(self, *args)
+        steps.append(calls.count("sums") - before)
+        return new
+
+    monkeypatch.setattr(scpnum.engine, "sums", counted_sums)
+    monkeypatch.setattr(Model, "step", counted_step)
     net, utilities = crowded_instance()
     counts = []
     for max_iter in (2, 40):
         calls.clear()
+        steps.clear()
         # epsilon this small is never met in 40 iterations
         res = SCHEDULERS[scheduler](net, utilities, crowded_config(
             net, utilities, epsilon=1e-300, max_iter=max_iter))
         assert res.iterations == max_iter
         # each iteration of either scheduler is one Model.step, so the
-        # agents do no arithmetic of their own
-        assert calls.count("step") == res.iterations
-        counts.append(len(calls) - res.iterations)
+        # agents do no arithmetic of their own; a step sums twice: the
+        # path prices, then g and ĝ in one bincount
+        assert steps == [2] * res.iterations
+        counts.append(calls.count("g_true") + calls.count("g_hat"))
     assert counts[0] == counts[1]

@@ -139,9 +139,9 @@ def test_writers_match_the_reference_on_special_values(tmp_path):
         a[k % a.size] = SPECIALS[k % len(SPECIALS)]
         return a
 
-    trace = tuple(replace(rec, x=salt(rec.x, k), mu=salt(rec.mu, k + 1),
-                          metric=SPECIALS[(k + 2) % len(SPECIALS)],
-                          g=salt(rec.g, k + 3), g_hat=salt(rec.g_hat, k + 4))
+    trace = tuple(rec._replace(x=salt(rec.x, k), mu=salt(rec.mu, k + 1),
+                              metric=SPECIALS[(k + 2) % len(SPECIALS)],
+                              g=salt(rec.g, k + 3), g_hat=salt(rec.g_hat, k + 4))
                   for k, rec in enumerate(res.trace))
     log.blocks = [(t, kind, salt(values, k),
                    None if values_prev is None else salt(values_prev, k + 5))
@@ -157,8 +157,8 @@ def test_trace_deviation_matches_the_reference():
     def jitter(a):
         return a * (1.0 + rng.uniform(-1e-9, 1e-9, np.shape(a)))
 
-    other = tuple(replace(rec, x=jitter(rec.x), mu=jitter(rec.mu), g=jitter(rec.g),
-                          g_hat=jitter(rec.g_hat)) for rec in res.trace)
+    other = tuple(rec._replace(x=jitter(rec.x), mu=jitter(rec.mu), g=jitter(rec.g),
+                              g_hat=jitter(rec.g_hat)) for rec in res.trace)
     dev = _trace_deviation(res.trace, other)
     assert 0.0 < dev == reference_trace_deviation(res.trace, other)
     # the shorter trace sets the rows compared
@@ -174,7 +174,7 @@ def test_nan_row_is_not_equivalent(tmp_path, which):
     assert _trace_deviation(res_e.trace, res_a.trace) == 0.0
     k = 5
     trace = list((res_e if which == "engine" else res_a).trace)
-    trace[k] = replace(trace[k], x=np.full_like(trace[k].x, np.nan))
+    trace[k] = trace[k]._replace(x=np.full_like(trace[k].x, np.nan))
     if which == "engine":
         res_e = replace(res_e, trace=tuple(trace))
     else:
