@@ -139,7 +139,7 @@ def build_agents(net: Network, utilities, config: SolverConfig):
     model = Model(net, utilities)
     state = model.initial_state(config)
     ends = dict(zip((PRICE_UPDATE, RATE_REPORT), net.incidence_ids))
-    senders = {PRICE_UPDATE: model.link, RATE_REPORT: model.route_src}
+    senders = {PRICE_UPDATE: model.inc.link, RATE_REPORT: model.inc.route_src}
     block = (0, RATE_REPORT, state.x_tilde, state.x_tilde)
     return Agents(model, state, ends, senders), MessageLog(ends, senders, [block])
 

@@ -11,18 +11,24 @@ projected-gradient step on the link prices followed by the closed-form
 per-source rate maximizer.
 
 All per-source and per-link arithmetic is one set of numpy array
-kernels over a :class:`Model`: a CSR incidence list sorted by link, then
-by ascending source id, plus per-source constants computed once per
-solve. Loads and path prices are summed with ``np.bincount(weights=...)``,
-which adds strictly left to right; ``np.sum`` reorders the additions of
-slices of 8 or more elements and is never used for them. With every
-operand a 1-d array (numpy takes other paths for 0-d operands and some
-scalar exponents), the kernels give identical bits on a length-1 slice
-and on the full array. An iteration's true and tangent loads g and ĝ
-are one bincount: their per-source terms are the two rows of one
-(2, S) block, and a doubled rank-major index sums them into bins
-[0, L) for g and [L, 2L) for ĝ, each bin adding the same terms in the
-same order as a sum of its own row would.
+kernels over a :class:`Model`: the network's incidence arrays plus
+per-source constants computed once per solve. The two routing sums,
+each link's load and each source's path price, are the incidence
+arrays' own methods (:class:`scpnum.network.IncidenceArrays`), and no
+other module reads the orders they run in. Both add strictly left to
+right with ``np.bincount(weights=...)``; ``np.sum`` reorders the
+additions of slices of 8 or more elements and is never used for them.
+With every operand a 1-d array (numpy takes other paths for 0-d
+operands and some scalar exponents), the kernels give identical bits on
+a length-1 slice and on the full array. An iteration's true and
+tangent loads g and ĝ are one link sum: their per-source terms are the
+two rows of one (2, S) block, summed as a sum of each row alone would
+be.
+
+The per-item views at the end of the module (``g_true``,
+``update_prices`` and the rest) check that each per-source or per-link
+argument has shape (S,) or (L,) (``utility.per_item``) and that a link
+id is declared, then run the same kernels.
 
 The iterate carries its own loads. The rate step computes
 w = x̃**p for the new rates once; r*w is both the rate in Kbps (before
@@ -53,7 +59,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .network import Network
-from .utility import SCurveUtility, finite_real, finite_reals, integer
+from .utility import SCurveUtility, finite_real, finite_reals, integer, per_item
 
 __all__ = [
     "SolverConfig",
@@ -221,11 +227,6 @@ def transformed(r, c2, x):
     return np.power(x / r, c2)
 
 
-def sums(index, weights, n: int) -> np.ndarray:
-    """Per-group sums of weights, each added strictly left to right."""
-    return np.bincount(index, weights=weights, minlength=n)
-
-
 def g_terms(r, p, xt):
     """Per-source Kbps contributions to the true link load."""
     return r * np.power(xt, p)
@@ -297,65 +298,37 @@ def steady(g, ghat, capacities, tol: float) -> bool:
     return bool(np.all((np.abs(ghat - g) <= tol) & (g <= capacities + tol)))
 
 
-class Incidence:
-    """A network's routing as kernel inputs: the read-only arrays of its
-    :class:`~scpnum.network.IncidenceArrays` (the CSR incidence list
-    ``link``/``src``, its route order ``route_link``/``route_src``, its
-    rank-major order ``rank_link``/``rank_src`` and that order doubled,
-    ``block_link``/``block_src``), which are built once per network, and
-    the link-sum and path-price kernels over them. Link sums run in
-    rank-major order: each link still adds its terms in ascending source
-    order. A (2, S) block of two per-source rows is summed by one
-    bincount over the doubled order, into bins [0, L) for its first row
-    and [L, 2L) for its second; each bin adds the same terms in the same
-    order as a sum of its row alone.
-    """
-
-    def __init__(self, net: Network):
-        self.n_links = net.n_links
-        self.n_sources = net.n_sources
-        (self.capacities, self.link, self.src, self.route_link, self.route_src,
-         self.rank_link, self.rank_src, self.block_link, self.block_src) = net.incidence
-
-    def link_sums(self, terms) -> np.ndarray:
-        """Per-link sums of a per-source row of terms, shape (S,), or of
-        both rows of a (2, S) block, shape (2, L)."""
-        if terms.ndim == 1:
-            return sums(self.rank_link, terms[self.rank_src], self.n_links)
-        return sums(self.block_link, terms.reshape(-1)[self.block_src],
-                    2 * self.n_links).reshape(2, self.n_links)
-
-    def path_prices(self, mu) -> np.ndarray:
-        """Per-source sums of the float array mu along each route."""
-        return sums(self.route_src, mu[self.route_link], self.n_sources)
-
-
-class Model(Incidence):
-    """An Incidence, whose arrays are built once per network, plus its
-    sources' Curves, built once per solve, and a (2, S) scratch block
-    that holds an iteration's true- and tangent-load terms while
-    :meth:`loads` sums them, so one Model sums one iteration at a time."""
+class Model:
+    """The kernels' inputs for one network and its sources: the
+    network's :class:`~scpnum.network.IncidenceArrays` ``inc``, built
+    once per network, with its capacities and sizes; the sources'
+    Curves, built once per solve; and a (2, S) scratch block that holds
+    an iteration's true- and tangent-load terms while :meth:`loads` sums
+    them, so one Model sums one iteration at a time. Every per-source
+    and per-link argument of its methods is a float array of shape (S,)
+    or (L,)."""
 
     def __init__(self, net: Network, utilities):
         if len(utilities) != net.n_sources:
             raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
-        super().__init__(net)
+        self.inc = net.incidence
+        self.capacities = self.inc.capacities
+        self.n_links, self.n_sources = net.n_links, net.n_sources
         self.curves = Curves.of(utilities)
         self._block = np.empty((2, self.n_sources))
         self._rows = tuple(self._block)
 
     def g_true(self, x_tilde) -> np.ndarray:
         c = self.curves
-        return self.link_sums(g_terms(c.r, c.p, np.asarray(x_tilde, dtype=float)))
+        return self.inc.link_sums(g_terms(c.r, c.p, x_tilde))
 
     def g_hat(self, x_tilde, x_tilde_prev) -> np.ndarray:
         c = self.curves
-        xt_prev = np.asarray(x_tilde_prev, dtype=float)
         # a negative expansion point is g_hat_terms' error, not a NaN warning
         with np.errstate(invalid="ignore"):
-            w_prev = np.power(xt_prev, c.p)
-        return self.link_sums(g_hat_terms(c.r, c.p, np.asarray(x_tilde, dtype=float),
-                                          xt_prev, w_prev, c.p_minus_1))
+            w_prev = np.power(x_tilde_prev, c.p)
+        return self.inc.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev,
+                                              c.p_minus_1))
 
     def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
         """Per-link (g, ĝ), the rows of one (2, L) array of sums, at
@@ -367,14 +340,14 @@ class Model(Incidence):
         true, tangent = self._rows
         np.multiply(c.r, w, out=true)
         tangent_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev, c.p_minus_1, out=tangent)
-        both = self.link_sums(self._block)
+        both = self.inc.link_sums(self._block)
         return both[0], both[1]
 
     def collapsed(self, s: IterateState, tol: float) -> bool:
         """Some source sits at the bottom of its rate window while a
         link on its route has slack above tol, by the carried loads."""
         loose = self.capacities - s.g > tol
-        return bool(np.any((s.x_tilde <= self.curves.lo)[self.src] & loose[self.link]))
+        return bool(np.any((s.x_tilde <= self.curves.lo)[self.inc.src] & loose[self.inc.link]))
 
     def initial_state(self, config: SolverConfig) -> IterateState:
         c = self.curves
@@ -403,7 +376,7 @@ class Model(Incidence):
                 f"transformed rate floor (m/r)**c2 = {c.lo[j]}")
         xt = np.minimum(np.maximum(transformed(c.r, c.c2, x0), c.lo), c.hi)
         w = np.power(xt, c.p)
-        return IterateState(0, xt, xt, mu0, self.path_prices(mu0), x0,
+        return IterateState(0, xt, xt, mu0, self.inc.path_prices(mu0), x0,
                             *self.loads(xt, xt, w, w), w)
 
     def step(self, s: IterateState, gamma: float) -> IterateState:
@@ -413,7 +386,7 @@ class Model(Incidence):
         that path price, and every link sums the true and tangent loads
         of the new rates, both in one bincount."""
         mu = price_step(s.mu, gamma, self.capacities, s.g_hat)
-        rho = self.path_prices(mu)
+        rho = self.inc.path_prices(mu)
         xt, x, w = rates(self.curves, s.x_tilde, rho)
         return IterateState(s.t + 1, xt, s.x_tilde, mu, rho, x,
                             *self.loads(xt, s.x_tilde, w, s.w), w)
@@ -502,7 +475,8 @@ def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float
 
 def g_true(net: Network, utilities, x_tilde, link_id: int) -> float:
     """True link load in Kbps as a function of transformed rates."""
-    return float(Model(net, utilities).g_true(x_tilde)[net.link_index[link_id]])
+    i = net.link_position(link_id)
+    return float(Model(net, utilities).g_true(per_item("x_tilde", x_tilde, net.n_sources))[i])
 
 
 def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float:
@@ -517,20 +491,25 @@ def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float
     NonPositiveExpansionPointError
         If any expansion component is <= 0.
     """
-    return float(Model(net, utilities).g_hat(x_tilde, x_tilde_prev)[net.link_index[link_id]])
+    i = net.link_position(link_id)
+    xt = per_item("x_tilde", x_tilde, net.n_sources)
+    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources)
+    return float(Model(net, utilities).g_hat(xt, xt_prev)[i])
 
 
 def update_prices(net: Network, utilities, state: IterateState, gamma: float) -> np.ndarray:
     """One projected-gradient step on every link price, against the
     tangent load at (x̃ current, x̃ previous)."""
     model = Model(net, utilities)
-    return price_step(np.asarray(state.mu, dtype=float), gamma, model.capacities,
-                      model.g_hat(state.x_tilde, state.x_tilde_prev))
+    mu = per_item("state.mu", state.mu, net.n_links)
+    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
+    xt_prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
+    return price_step(mu, gamma, model.capacities, model.g_hat(xt, xt_prev))
 
 
 def path_prices(net: Network, mu) -> np.ndarray:
     """Per-source sum of link prices along the route, ascending link id."""
-    return Incidence(net).path_prices(np.asarray(mu, dtype=float))
+    return net.incidence.path_prices(per_item("mu", mu, net.n_links))
 
 
 def update_rates(net: Network, utilities, state: IterateState):
@@ -540,8 +519,8 @@ def update_rates(net: Network, utilities, state: IterateState):
     source's transformed window, so x is always within [m, M].
     """
     model = Model(net, utilities)
-    rho = model.path_prices(np.asarray(state.mu, dtype=float))
-    xt, x, _ = rates(model.curves, np.asarray(state.x_tilde, dtype=float), rho)
+    rho = model.inc.path_prices(per_item("state.mu", state.mu, net.n_links))
+    xt, x, _ = rates(model.curves, per_item("state.x_tilde", state.x_tilde, net.n_sources), rho)
     return xt, x, rho
 
 
@@ -566,11 +545,12 @@ def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResid
     """Stationarity and complementary-slackness residuals."""
     model = Model(net, utilities)
     c = model.curves
-    xt = np.asarray(x_tilde, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    xt = per_item("x_tilde", x_tilde, net.n_sources)
+    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources)
+    mu = per_item("mu", mu, net.n_links)
     dutil = -c.c1 * np.exp(-c.c1 * xt) / np.expm1(-c.c1)
-    dload = c.r * _slope(c.p, np.asarray(x_tilde_prev, dtype=float), c.p_minus_1)
-    stat = dutil - dload * model.path_prices(mu)
+    dload = c.r * _slope(c.p, xt_prev, c.p_minus_1)
+    stat = dutil - dload * model.inc.path_prices(mu)
     slack = mu * (model.g_true(xt) - model.capacities)
     return KKTResidual(stat, stat / dutil, slack, slack / model.capacities)
 
@@ -579,5 +559,6 @@ def steady_state_check(net: Network, utilities, state: IterateState, tol: float)
     """True when the tangent and true loads agree within tol on every
     link and no true load exceeds capacity by more than tol."""
     model = Model(net, utilities)
-    return steady(model.g_true(state.x_tilde), model.g_hat(state.x_tilde, state.x_tilde_prev),
-                  model.capacities, tol)
+    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
+    xt_prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
+    return steady(model.g_true(xt), model.g_hat(xt, xt_prev), model.capacities, tol)

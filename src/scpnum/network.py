@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .utility import finite_real, integer
+from .utility import finite_real, integer, per_item
 
 __all__ = [
     "Network",
@@ -47,8 +47,15 @@ class NonPositiveCapacityError(ValueError):
     """A link capacity is zero or negative."""
 
 
+def sums(index, weights, n: int) -> np.ndarray:
+    """Per-group sums of weights, each added strictly left to right."""
+    return np.bincount(index, weights=weights, minlength=n)
+
+
 class IncidenceArrays(NamedTuple):
-    """A network's routing as read-only arrays.
+    """A network's routing as read-only arrays, with the two routing sums
+    over them as methods, so that no other module reads the rank-major
+    or doubled orders.
 
     ``link``/``src`` is the CSR incidence list: one entry per (link,
     source) pair as link and source indices, sorted by link index and
@@ -58,13 +65,13 @@ class IncidenceArrays(NamedTuple):
     every link's first pair (in CSR order), then every link's second,
     and so on. Each link's pairs keep their ascending source order, so
     ``np.bincount`` over that order adds each link's terms in the CSR
-    order, with no one link's additions in a single dependent chain.
-    ``block_link``/``block_src`` are the rank-major pairs twice, 2·nnz
-    entries: once as they are, then with every link index raised by L
-    and every source index by S. They index a flattened (2, S) block of
-    two per-source rows, and one ``np.bincount`` over them sums the
-    first row into bins [0, L) and the second into bins [L, 2L), each
-    bin in the order of the rank-major sum of its row alone;
+    order, from 0.0, with no one link's additions in a single dependent
+    chain. ``block_link``/``block_src`` are the rank-major pairs twice,
+    2·nnz entries: once as they are, then with every link index raised
+    by L and every source index by S. They index a flattened (2, S)
+    block of two per-source rows, and one ``np.bincount`` over them sums
+    the first row into bins [0, L) and the second into bins [L, 2L),
+    each bin in the order of the rank-major sum of its row alone;
     ``rank_link``/``rank_src`` are views of their first halves.
     ``capacities`` is aligned with the link ids.
     """
@@ -78,6 +85,21 @@ class IncidenceArrays(NamedTuple):
     rank_src: np.ndarray
     block_link: np.ndarray
     block_src: np.ndarray
+
+    def link_sums(self, terms) -> np.ndarray:
+        """Per-link sums of a float row of per-source terms, shape (S,),
+        or of both rows of a (2, S) block, shape (2, L). Each link adds
+        its sources' terms in ascending source order, from 0.0."""
+        n = len(self.capacities)
+        if terms.ndim == 1:
+            return sums(self.rank_link, terms[self.rank_src], n)
+        return sums(self.block_link, terms.reshape(-1)[self.block_src], 2 * n).reshape(2, n)
+
+    def path_prices(self, mu) -> np.ndarray:
+        """Per-source sums of the float per-link array mu along each
+        route, in ascending link order. Every source has a route, so the
+        last route-order pair is the last source's."""
+        return sums(self.route_src, mu[self.route_link], self.route_src[-1] + 1)
 
 
 def _incidence_arrays(net: Network) -> IncidenceArrays:
@@ -162,6 +184,13 @@ class Network:
         ``incidence``: (link ids, source ids) in CSR order, then
         (source ids, link ids) in route order, each a tuple of ints."""
         return _incidence_ids(self)
+
+    def link_position(self, link_id) -> int:
+        """The index of ``link_id`` in ``link_ids``; UnknownLinkError
+        if the network declares no such link."""
+        if link_id not in self.link_index:
+            raise UnknownLinkError(f"unknown link {link_id}")
+        return self.link_index[link_id]
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items()
@@ -250,15 +279,11 @@ def build_network(links, routes) -> Network:
 def link_load(net: Network, x, link_id: int) -> float:
     """Aggregate rate over one link: sum of x_s over sources crossing it.
 
-    ``x`` is aligned with ``net.source_ids``. Sources are accumulated in
-    ascending id order.
+    ``x`` is aligned with ``net.source_ids``, shape (S,). Sources are
+    accumulated in ascending id order, from 0.0.
     """
-    if link_id not in net.link_index:
-        raise UnknownLinkError(f"unknown link {link_id}")
-    total = 0.0
-    for sid in net.sources_on_link[net.link_index[link_id]]:
-        total += float(x[net.source_index[sid]])
-    return total
+    i = net.link_position(link_id)
+    return float(net.incidence.link_sums(per_item("x", x, net.n_sources))[i])
 
 
 def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
@@ -277,27 +302,29 @@ def is_feasible(net: Network, x, bounds, tol: float = 0.0) -> FeasibilityReport:
     -------
     FeasibilityReport
         ``ok`` plus one Violation per breached constraint, each carrying
-        the overshoot magnitude. A NaN rate breaches its bounds and every
-        link on its route, with a NaN overshoot.
+        the overshoot magnitude as a float: the bounds by source, then
+        the capacities by link, each in ascending id order. A link's
+        load is :func:`link_load`'s sum. A NaN rate breaches its bounds
+        and every link on its route, with a NaN overshoot.
 
     Raises
     ------
     ValueError
-        If ``x`` or ``bounds`` does not have one entry per source, or
-        ``tol`` is not a finite real >= 0 (see ``utility.finite_real``).
+        If ``x`` is not of shape (S,) or ``bounds`` of shape (S, 2) (see
+        ``utility.per_item``), or ``tol`` is not a finite real >= 0 (see
+        ``utility.finite_real``).
     """
-    for name, values in (("x", x), ("bounds", bounds)):
-        if len(values) != net.n_sources:
-            raise ValueError(f"{name} must have {net.n_sources} entries, got {len(values)}")
+    x = per_item("x", x, net.n_sources)
+    lo, hi = per_item("bounds", bounds, net.n_sources, 2).T
     tol = finite_real("tol", tol, ge=0.0)
-    violations: list[Violation] = []
-    for j, sid in enumerate(net.source_ids):
-        lo, hi = bounds[j]
-        xv = float(x[j])
-        if not lo - tol <= xv <= hi + tol:
-            violations.append(Violation("bounds", sid, lo - xv if xv < lo - tol else xv - hi))
-    for i, lid in enumerate(net.link_ids):
-        load = link_load(net, x, lid)
-        if not load <= net.capacities[i] + tol:
-            violations.append(Violation("capacity", lid, load - net.capacities[i]))
+    inc = net.incidence
+    load = inc.link_sums(x)
+    outside = np.flatnonzero(~((lo - tol <= x) & (x <= hi + tol)))
+    over = np.flatnonzero(~(load <= inc.capacities + tol))
+    # an infinite bound beside an infinite rate makes the unused branch NaN
+    with np.errstate(invalid="ignore"):
+        excess = np.where(x < lo - tol, lo - x, x - hi)
+    violations = ([Violation("bounds", net.source_ids[j], float(excess[j])) for j in outside]
+                  + [Violation("capacity", net.link_ids[i], float(load[i] - inc.capacities[i]))
+                     for i in over])
     return FeasibilityReport(not violations, tuple(violations))

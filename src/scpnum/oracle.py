@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, is_feasible
-from .utility import eval_scurve, finite_real, integer
+from .utility import eval_scurve, finite_real, integer, per_item
 
 __all__ = [
     "GridSpec",
@@ -124,7 +124,9 @@ class LocalOptReport:
 
 
 def total_utility(utilities, x) -> float:
-    """Aggregate utility of a rate vector, ascending source order."""
+    """Aggregate utility of a rate vector, ascending source order; x has
+    shape (S,) (see ``utility.per_item``)."""
+    x = per_item("x", x, len(utilities))
     total = 0.0
     for j, u in enumerate(utilities):
         total += eval_scurve(u, float(x[j]))
@@ -508,8 +510,9 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     All samples are drawn by one ``rng.uniform`` call of shape
     (samples, S), which is the stream of one call per sample. Rate
     windows and link loads are checked, and utilities summed, one source
-    column at a time in ascending source id order, the order of
-    ``is_feasible`` and ``total_utility``, so the report equals a
+    column at a time in ascending source id order from 0.0: the order in
+    which ``is_feasible``'s link sums add each link's rates, and in
+    which ``total_utility`` adds the utilities. So the report equals a
     sample-by-sample loop's. The best point is the first sample with
     the largest positive gain.
 

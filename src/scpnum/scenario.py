@@ -269,14 +269,16 @@ def parse_scenario(text: str, origin: str = "<string>"):
 
 
 def load_scenario(src):
-    """Load a scenario from a built-in name or a JSON file path."""
+    """Load a scenario from a built-in name or a path to a UTF-8 JSON
+    file. A file that cannot be read, or is not UTF-8 text, raises
+    ScenarioValidationError at ``$``."""
     name = str(src)
     if name in BUILT_IN_SCENARIOS:
         return _model_from_doc(built_in_scenario(name))
     path = Path(src)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioValidationError("$", f"cannot read scenario {name!r}: {exc}")
     return parse_scenario(text, origin=str(path))
 

@@ -78,6 +78,20 @@ def integer(name: str, value, ge: int | None = None) -> int:
     return value
 
 
+def per_item(name: str, values, *shape: int) -> np.ndarray:
+    """The one shape check of a per-source or per-link array argument:
+    ``values`` as a float array of exactly ``shape``, such as (S,) or
+    (L,). A mis-sized argument raises ValueError naming it. The entries
+    are not checked, so a NaN or an inf passes."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of shape {shape}: {exc}") from None
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class SCurveUtility:
     """S-shaped utility U(x) = (1 - exp(-c1*(x/r)**c2)) / (1 - exp(-c1)).

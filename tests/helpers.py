@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from scpnum import (
+    FeasibilityReport,
     GridSpec,
     SCurveUtility,
     SolverConfig,
@@ -24,6 +25,7 @@ from scpnum import (
     run_to_convergence,
     solve,
     total_utility,
+    Violation,
 )
 from scpnum.engine import RHO_FLOOR, IterateState, NonPositiveExpansionPointError
 
@@ -166,7 +168,8 @@ def reference_step(model, s, gamma: float) -> IterateState:
     must keep its bits."""
     c = model.curves
     mu = np.maximum(0.0, np.asarray(s.mu, dtype=float) - gamma * (model.capacities - s.g_hat))
-    rho = np.bincount(model.route_src, weights=mu[model.route_link], minlength=model.n_sources)
+    rho = np.bincount(model.inc.route_src, weights=mu[model.inc.route_link],
+                      minlength=model.n_sources)
     sat = rho < RHO_FLOOR
     a = c.log_k + c.one_minus_p * np.log(s.x_tilde)
     raw = np.where(sat, c.hi, (a - np.log(np.maximum(rho, RHO_FLOOR))) / c.c1)
@@ -185,8 +188,34 @@ def reference_loads(model, xt, xt_prev, w, w_prev) -> tuple:
         raise NonPositiveExpansionPointError(f"expansion points must be > 0, got {xt_prev}")
 
     def link_sums(per_source):
-        return np.bincount(model.rank_link, weights=per_source[model.rank_src],
+        return np.bincount(model.inc.rank_link, weights=per_source[model.inc.rank_src],
                            minlength=model.n_links)
 
     return (link_sums(c.r * w),
             link_sums(c.r * (w_prev + c.p * np.power(xt_prev, c.p_minus_1) * (xt - xt_prev))))
+
+
+def reference_link_load(net, x, link_id) -> float:
+    """``link_load`` as a loop: the link's sources in ascending id order,
+    added one at a time from 0.0."""
+    total = 0.0
+    for sid in net.sources_on_link[net.link_index[link_id]]:
+        total += float(x[net.source_index[sid]])
+    return total
+
+
+def reference_is_feasible(net, x, bounds, tol: float = 0.0):
+    """``is_feasible`` as two loops, for well-formed arguments: every
+    source's window in ascending id order, then every link's load
+    (:func:`reference_link_load`) against its capacity."""
+    violations = []
+    for j, sid in enumerate(net.source_ids):
+        lo, hi = bounds[j]
+        xv = float(x[j])
+        if not lo - tol <= xv <= hi + tol:
+            violations.append(Violation("bounds", sid, lo - xv if xv < lo - tol else xv - hi))
+    for i, lid in enumerate(net.link_ids):
+        load = reference_link_load(net, x, lid)
+        if not load <= net.capacities[i] + tol:
+            violations.append(Violation("capacity", lid, load - net.capacities[i]))
+    return FeasibilityReport(not violations, tuple(violations))

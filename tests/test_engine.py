@@ -1,6 +1,7 @@
 """Price/rate iteration: scalar steps, link evaluations, and solve()."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,15 +13,18 @@ from scpnum import (
     NonPositiveExpansionPointError,
     SCurveUtility,
     SolverConfig,
+    UnknownLinkError,
     build_network,
     g_hat,
     g_true,
     kkt_residual,
+    link_load,
     load_scenario,
     path_prices,
     polish,
     solve,
     steady_state_check,
+    total_utility,
     update_prices,
     update_rates,
 )
@@ -342,3 +346,76 @@ def test_solve_validates_state_shapes():
         solve(net, utilities, SolverConfig(x0=(10.0, 20.0)))
     with pytest.raises(ValueError):
         solve(net, utilities, SolverConfig(x0=(9000.0,)))
+
+
+# chain-3 has 4 sources and 3 links: each call below is well formed but
+# for one argument of the wrong shape, which used to be broadcast or
+# partly ignored
+XT, MU = [0.5] * 4, [0.1] * 3
+MIS_SIZED = {
+    "g_true-x_tilde": ("x_tilde", lambda net, u: g_true(net, u, [0.5], 1)),
+    "g_true-2d": ("x_tilde", lambda net, u: g_true(net, u, [XT], 1)),
+    "g_hat-x_tilde": ("x_tilde", lambda net, u: g_hat(net, u, [0.5] * 5, XT, 1)),
+    "g_hat-x_tilde_prev": ("x_tilde_prev", lambda net, u: g_hat(net, u, XT, [0.5], 1)),
+    "update_prices-mu": ("state.mu", lambda net, u: update_prices(
+        net, u, IterateState(0, XT, XT, [0.1], XT, XT), 1e-4)),
+    "update_prices-x_tilde": ("state.x_tilde", lambda net, u: update_prices(
+        net, u, IterateState(0, [0.5], XT, MU, XT, XT), 1e-4)),
+    "update_prices-x_tilde_prev": ("state.x_tilde_prev", lambda net, u: update_prices(
+        net, u, IterateState(0, XT, [0.5], MU, XT, XT), 1e-4)),
+    "update_rates-mu": ("state.mu", lambda net, u: update_rates(
+        net, u, IterateState(0, XT, XT, [0.1] * 4, XT, XT))),
+    "update_rates-x_tilde": ("state.x_tilde", lambda net, u: update_rates(
+        net, u, IterateState(0, [0.5], XT, MU, XT, XT))),
+    "path_prices-mu": ("mu", lambda net, u: path_prices(net, [0.1])),
+    "path_prices-scalar": ("mu", lambda net, u: path_prices(net, 0.1)),
+    "kkt_residual-x_tilde": ("x_tilde", lambda net, u: kkt_residual(net, u, [0.5], XT, MU)),
+    "kkt_residual-x_tilde_prev": ("x_tilde_prev", lambda net, u: kkt_residual(
+        net, u, XT, [0.5], MU)),
+    "kkt_residual-mu": ("mu", lambda net, u: kkt_residual(net, u, XT, XT, [0.1])),
+    "steady_state_check-x_tilde": ("state.x_tilde", lambda net, u: steady_state_check(
+        net, u, IterateState(0, [0.5] * 5, XT, MU, XT, XT), 0.5)),
+    "steady_state_check-x_tilde_prev": ("state.x_tilde_prev", lambda net, u: steady_state_check(
+        net, u, IterateState(0, XT, [0.5], MU, XT, XT), 0.5)),
+    "total_utility-x": ("x", lambda net, u: total_utility(u, [100.0] * 9)),
+    "link_load-x": ("x", lambda net, u: link_load(net, [100.0] * 3, 1)),
+}
+
+
+@pytest.mark.parametrize("case", MIS_SIZED)
+def test_views_reject_a_mis_sized_argument(case):
+    net, utilities, _ = load_scenario("chain-3")
+    name, call = MIS_SIZED[case]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must have shape"):
+        call(net, utilities)
+
+
+def test_views_take_well_sized_lists_as_arrays():
+    net, utilities, _ = load_scenario("chain-3")
+    xt, mu = np.array(XT), np.array(MU)
+    as_lists = IterateState(0, XT, XT, MU, XT, XT)
+    as_arrays = IterateState(0, xt, xt, mu, xt, xt)
+    assert g_true(net, utilities, XT, 1) == g_true(net, utilities, xt, 1)
+    assert g_hat(net, utilities, XT, XT, 3) == g_hat(net, utilities, xt, xt, 3)
+    assert np.array_equal(path_prices(net, MU), path_prices(net, mu))
+    assert (steady_state_check(net, utilities, as_lists, 0.5)
+            == steady_state_check(net, utilities, as_arrays, 0.5))
+    assert np.array_equal(update_prices(net, utilities, as_lists, 1e-4),
+                          update_prices(net, utilities, as_arrays, 1e-4))
+    rates = zip(update_rates(net, utilities, as_lists), update_rates(net, utilities, as_arrays))
+    assert all(a.shape == (4,) and np.array_equal(a, b) for a, b in rates)
+    assert total_utility(utilities, [100.0] * 4) == total_utility(utilities, np.full(4, 100.0))
+
+
+UNKNOWN_LINK = {
+    "g_true": lambda net, u: g_true(net, u, XT, 42),
+    "g_hat": lambda net, u: g_hat(net, u, XT, XT, 42),
+}
+
+
+@pytest.mark.parametrize("view", UNKNOWN_LINK)
+def test_views_reject_an_unknown_link(view):
+    # as link_load does, not with a bare KeyError
+    net, utilities, _ = load_scenario("chain-3")
+    with pytest.raises(UnknownLinkError, match="unknown link 42"):
+        UNKNOWN_LINK[view](net, utilities)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-import scpnum.engine
+import scpnum.network
 
 from helpers import SCHEDULERS, crowded_instance, recipe_x0, reference_loads, reference_step
 from scpnum import (
@@ -18,7 +18,8 @@ from scpnum import (
     run_to_convergence,
     solve,
 )
-from scpnum.engine import RHO_FLOOR, Curves, IterateState, Model, g_hat_terms, g_terms, rates, sums
+from scpnum.engine import RHO_FLOOR, Curves, IterateState, Model, g_hat_terms, g_terms, rates
+from scpnum.network import sums
 
 KERNEL_SEED = 20261017
 
@@ -99,8 +100,7 @@ def test_sums_add_left_to_right():
 def test_link_sums_add_each_link_in_source_order():
     # rank-major order interleaves the links but keeps each link's pairs
     # in ascending source order, so every load equals a per-link loop
-    net, utilities = crowded_instance()
-    model = Model(net, utilities)
+    net, _ = crowded_instance()
     inc = net.incidence
     pairs = sorted(zip(inc.rank_link.tolist(), inc.rank_src.tolist()))
     assert pairs == sorted(zip(inc.link.tolist(), inc.src.tolist()))
@@ -111,7 +111,7 @@ def test_link_sums_add_each_link_in_source_order():
     for i, on in enumerate(net.sources_on_link):
         for sid in on:
             expected[i] += float(per_source[net.source_index[sid]])
-    assert np.array_equal(model.link_sums(per_source), np.array(expected))
+    assert np.array_equal(inc.link_sums(per_source), np.array(expected))
 
 
 # whether some path price of the 60 steps is below RHO_FLOOR: the cases
@@ -172,7 +172,7 @@ def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
             return _kernel(self, *args)
 
         monkeypatch.setattr(Model, name, counted)
-    bincount, step = scpnum.engine.sums, Model.step
+    bincount, step = scpnum.network.sums, Model.step
     steps = []  # the bincounts each Model.step made
 
     def counted_sums(*args):
@@ -185,7 +185,7 @@ def test_load_kernels_are_not_called_per_iteration(monkeypatch, scheduler):
         steps.append(calls.count("sums") - before)
         return new
 
-    monkeypatch.setattr(scpnum.engine, "sums", counted_sums)
+    monkeypatch.setattr(scpnum.network, "sums", counted_sums)
     monkeypatch.setattr(Model, "step", counted_step)
     net, utilities = crowded_instance()
     counts = []

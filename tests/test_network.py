@@ -1,14 +1,19 @@
 """Topology assembly, routing structure, and feasibility checks."""
 
+import importlib.util
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import routing_matrix
+from helpers import (INSTANCE_SEED, gen_instance, reference_is_feasible, reference_link_load,
+                     routing_matrix)
 import scpnum.network
 from scpnum import (
+    BUILT_IN_SCENARIOS,
     DuplicateIdError,
     EmptyRouteError,
     NonPositiveCapacityError,
@@ -19,6 +24,7 @@ from scpnum import (
     is_feasible,
     link_load,
     load_scenario,
+    parse_scenario,
     solve,
 )
 from scpnum.agents import PRICE_UPDATE, RATE_REPORT
@@ -211,6 +217,67 @@ def test_feasibility_needs_one_bound_pair_per_source():
             is_feasible(net, [100.0] * 4, [(1.0, 256.0)] * n)
 
 
+MESH = Path(__file__).resolve().parents[1] / "perfbench" / "mesh.py"
+
+
+def mesh_1k(seed: int, k: int):
+    """Mesh k of a seed of perfbench's mesh-1k workload, as (net, utilities)."""
+    spec = importlib.util.spec_from_file_location("perfbench_mesh", MESH)
+    mesh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mesh)
+    return parse_scenario(json.dumps(mesh.generate(seed, k)))[:2]
+
+
+def feasibility_networks(group):
+    if group == "built-ins":
+        return [load_scenario(name)[:2] for name in sorted(BUILT_IN_SCENARIOS)]
+    if group == "draws":
+        rng = np.random.default_rng(INSTANCE_SEED)
+        return [gen_instance(rng) for _ in range(40)]
+    return [mesh_1k(1, 0)]
+
+
+def feasibility_inputs(net, utilities, rng):
+    """(x, tol) pairs: rates inside and around the windows, on the
+    window edges at the tolerance, and with NaN and infinite entries,
+    two of them of opposite sign on one link when a link has two
+    sources."""
+    lo = np.array([u.m for u in utilities])
+    hi = np.array([u.big_m for u in utilities])
+    inside = rng.uniform(lo, hi)
+    yield inside, 0.0
+    yield inside, 0.5
+    yield rng.uniform(lo - 5.0, hi + 5.0), 0.5
+    yield np.where(rng.random(lo.size) < 0.5, lo - 0.5, hi + 0.5), 0.5
+    yield 0.3 * hi, 0.0
+    special = inside.copy()
+    picks = rng.choice(lo.size, size=min(lo.size, 3), replace=False)
+    special[picks] = [math.nan, math.inf, -math.inf][:picks.size]
+    yield special, 0.5
+    crowded = max(net.sources_on_link, key=len)
+    if len(crowded) >= 2:
+        opposite = inside.copy()
+        opposite[[net.source_index[sid] for sid in crowded[:2]]] = math.inf, -math.inf
+        yield opposite, 0.0
+
+
+@pytest.mark.parametrize("group", ["built-ins", "draws", "mesh-1k"])
+def test_feasibility_matches_the_loops(group):
+    # the link sums add each link's rates in ascending source order from
+    # 0.0, as the loops do, so every report and load keeps its bits
+    rng = np.random.default_rng(INSTANCE_SEED + 26)
+    for net, utilities in feasibility_networks(group):
+        bounds = [(u.m, u.big_m) for u in utilities]
+        for x, tol in feasibility_inputs(net, utilities, rng):
+            for rates in (x, x.tolist()):
+                got = is_feasible(net, rates, bounds, tol)
+                assert repr(got) == repr(reference_is_feasible(net, rates, bounds, tol))
+                assert all(type(v.ident) is int and type(v.excess) is float
+                           for v in got.violations)
+                assert ([repr(link_load(net, rates, lid)) for lid in net.link_ids]
+                        == [repr(reference_link_load(net, rates, lid)) for lid in net.link_ids])
+
+
 def test_violation_is_value_object():
     assert Violation("bounds", 1, 2.0) == Violation("bounds", 1, 2.0)
 
@@ -229,7 +296,7 @@ def test_incidence_is_built_once_per_network(monkeypatch):
     solve(net, utilities, config)
     agents, _ = build_agents(net, utilities, config)
     assert len(built) == 1 and built[0] is net
-    assert agents.model.src is net.incidence.src
+    assert agents.model.inc.src is net.incidence.src
 
 
 def test_incidence_ids_are_built_once_per_network(monkeypatch):
@@ -252,7 +319,7 @@ def test_incidence_ids_are_built_once_per_network(monkeypatch):
 def test_incidence_arrays_are_read_only():
     net = chain_network()
     model = Model(net, load_scenario("chain-3")[1])
-    for a in (*net.incidence, model.capacities, model.link, model.route_src):
+    for a in (*net.incidence, model.capacities, model.inc.link, model.inc.route_src):
         with pytest.raises(ValueError):
             a[0] = 0
 

@@ -305,6 +305,34 @@ def test_cli_rejects_integer_too_large_for_a_float(tmp_path, command, section, k
     assert f"{section}[0].{key}: integer too large for a float" in proc.stderr
 
 
+# a UTF-16 byte-order mark and text: not UTF-8
+NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
+
+
+def test_scenario_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(NOT_UTF8)
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(bad)
+    assert exc.value.path == "$" and "utf-8" in str(exc.value)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--mode", "both"]],
+                         ids=["validate", "run"])
+def test_cli_rejects_a_scenario_file_that_is_not_utf8(tmp_path, command):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(NOT_UTF8)
+    src = str(Path(scpnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "scpnum.cli", *command, str(bad),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: $: cannot read scenario")
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ScenarioValidationError):
         load_scenario("no-such-scenario")
