@@ -34,6 +34,7 @@ from .engine import (
 )
 from .network import Network, is_feasible
 from .oracle import (
+    MAX_SOURCES,
     BudgetExceededError,
     GridSpec,
     NoFeasiblePointError,
@@ -54,6 +55,10 @@ __all__ = ["main", "build_parser"]
 TRACE_TOL = 1e-12
 # interior-source margin for reporting stationarity residuals, Kbps
 BOUND_MARGIN = 1e-6
+# validate's sampled local-optimality test: perturbation radius in Kbps,
+# and sample count
+LOCAL_OPT_RADIUS = 2.0
+LOCAL_OPT_SAMPLES = 1000
 
 
 def _stacked(trace, fields) -> np.ndarray:
@@ -94,6 +99,7 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
     steady_ok = steady(g, gh, np.array(net.capacities), config.feas_tol)
     kkt = kkt_residual(net, utilities, res.x_tilde, res.x_tilde_prev, res.mu)
     util = total_utility(utilities, res.x)
+    interior = [u.m + BOUND_MARGIN < x < u.big_m - BOUND_MARGIN for u, x in zip(utilities, res.x)]
 
     lines = [
         f"scenario: {scenario}",
@@ -108,8 +114,7 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
     ]
     for j, sid in enumerate(net.source_ids):
         u = utilities[j]
-        interior = u.m + BOUND_MARGIN < res.x[j] < u.big_m - BOUND_MARGIN
-        tag = "interior" if interior else "at bound"
+        tag = "interior" if interior[j] else "at bound"
         lines.append(
             f"  source {sid}: x = {res.x[j]:.6f}  window [{u.m:g}, {u.big_m:g}]  "
             f"rho = {res.rho[j]:.8g}  ({tag})")
@@ -127,9 +132,7 @@ def write_result(path: Path, scenario: str, mode: str, net: Network, utilities,
     lines.append("")
     lines.append("KKT residuals:")
     for j, sid in enumerate(net.source_ids):
-        u = utilities[j]
-        interior = u.m + BOUND_MARGIN < res.x[j] < u.big_m - BOUND_MARGIN
-        note = "" if interior else "  (at bound; bound multiplier not modeled)"
+        note = "" if interior[j] else "  (at bound; bound multiplier not modeled)"
         lines.append(
             f"  source {sid}: stationarity = {kkt.stationarity[j]: .3e}  "
             f"normalized = {kkt.stationarity_normalized[j]: .3e}{note}")
@@ -242,13 +245,14 @@ def cmd_validate(args) -> int:
     engine_time = time.perf_counter() - t0
     util_engine = total_utility(utilities, res.x)
 
+    spec = GridSpec()
     t0 = time.perf_counter()
     try:
-        oracle = grid_search(net, utilities, GridSpec())
+        oracle = grid_search(net, utilities, spec)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("validate enumerates a full rate grid per source and is capped at "
-              "5 sources; split the scenario or use run + external checks.",
+              f"{MAX_SOURCES} sources; split the scenario or use run + external checks.",
               file=sys.stderr)
         return 2
     except NoFeasiblePointError as exc:
@@ -263,8 +267,8 @@ def cmd_validate(args) -> int:
     # only a machine-precision fixed point can survive the sampled
     # improvement test, so re-run to a tight tolerance first
     polished = polish(net, utilities, res, config)
-    report = local_opt_test(net, utilities, polished.x, radius=2.0,
-                            samples=1000, seed=seed)
+    report = local_opt_test(net, utilities, polished.x, radius=LOCAL_OPT_RADIUS,
+                            samples=LOCAL_OPT_SAMPLES, seed=seed)
     verdict = utility_ok or report.passed
     if verdict:
         held = [case for case, ok in (("utility match", utility_ok),
@@ -282,7 +286,7 @@ def cmd_validate(args) -> int:
         f"engine rates (Kbps): {np.array2string(res.x, precision=4)}",
         f"engine aggregate utility: {util_engine:.10f}",
         "",
-        f"oracle grid_search: passes={GridSpec().refinement_passes} "
+        f"oracle grid_search: passes={spec.refinement_passes} "
         f"evaluations={oracle.evaluations} scanned={oracle.scanned} "
         f"resolution_kbps={oracle.resolution:.6f} "
         f"runtime_s={oracle_time:.3f}",
@@ -291,8 +295,8 @@ def cmd_validate(args) -> int:
         "",
         f"utility gap (engine - oracle): {gap: .6e}  (|gap| <= 1e-3: "
         f"{str(utility_ok).lower()})",
-        f"local_opt_test at polished engine point (radius 2 Kbps, 1000 samples, "
-        f"seed {seed}): passed={str(report.passed).lower()} "
+        f"local_opt_test at polished engine point (radius {LOCAL_OPT_RADIUS:g} Kbps, "
+        f"{LOCAL_OPT_SAMPLES} samples, seed {seed}): passed={str(report.passed).lower()} "
         f"feasible_samples={report.samples_feasible} best_gain={report.best_gain: .3e}",
         f"polish: converged={str(polished.converged).lower()} "
         f"iterations={polished.iterations} stop_reason={polished.stop_reason}",

@@ -40,12 +40,13 @@ DEFAULT_PERTURBATION_SEED = 1729
 
 MAX_SOURCES = 5
 
-# points per scan chunk (see _chunk_buffers): 2**17 float64 values are
-# 1 MiB, a quarter of a 4 MiB L2 cache. On chain-3 (2 vCPU Xeon, numpy
-# 2.4) a grid_search took 3.9 ms with it, against 4.1 ms at 2**16 and
-# 2**18 points and 4.9 ms at 2**15; one-row chunks of 4096 points were
-# slower than no chunks at all, when every row of a slice was scanned
-CHUNK_POINTS = 2 ** 17
+# most points per scan chunk: 2**14 float64 values are 128 KiB, glibc's
+# default mmap threshold, so a chunk's temporaries come from the heap and
+# not from fresh mmapped pages. On a 2 vCPU Xeon (numpy 2.4), 65536-point
+# chunks (GridSpec(16, 3) on paper-scenario-1) made 1408 minor page
+# faults per grid_search and took 5.9 ms, against none and 1.9 ms with
+# the deeper descent that 2**14 gives; 4096-point chunks were no faster
+CHUNK_POINTS = 2 ** 14
 
 # the grid bounds sum in another order than the scan, so each link budget
 # in them is raised by BUDGET_PAD Kbps and each bound by a relative
@@ -141,38 +142,6 @@ def perturbation_seed() -> int:
         return integer("SCPNUM_SEED", int(raw), ge=0) if raw else DEFAULT_PERTURBATION_SEED
     except ValueError:
         raise ValueError(f"SCPNUM_SEED must be a non-negative integer, got {raw!r}") from None
-
-
-def _front(buf, shape):
-    """The first prod(shape) elements of the contiguous buffer buf, viewed
-    with that shape: room for an array no larger than buf."""
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
-def _sum_into(terms, zero, buf):
-    """zero + terms[0] + terms[1] + ..., added left to right and
-    broadcast into the front of buf. The last term is copied there and
-    the sum of the others added to it: addition commutes, so the bits
-    are those of adding it last, and a broadcasting copy and add run
-    faster than one add that broadcasts both its operands."""
-    *head, last = [zero, *terms]
-    out = _front(buf, np.broadcast(zero, *terms).shape)
-    np.copyto(out, last)
-    return np.add(sum(head, zero), out, out=out)
-
-
-def _chunk_buffers(tail_shape):
-    """The scan's chunk buffers for a grid whose tail (every source but
-    the first) has shape tail_shape: room for the whole tail if it fits
-    in CHUNK_POINTS points, else for one row of its first axis if that
-    fits, else for the whole rows of its second axis (sub-rows) that
-    fit, and for at least one. One float array holds a chunk's loads and
-    then its utilities; two bool arrays hold its feasibility mask and
-    one link's test, then the mask's complement."""
-    total, row, sub = (math.prod(tail_shape[k:]) for k in range(3))
-    size = (total if total <= CHUNK_POINTS else row if row <= CHUNK_POINTS
-            else max(1, CHUNK_POINTS // sub) * sub)
-    return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
 
 def _best_within(loads, utils):
@@ -272,16 +241,13 @@ def _tail_bound(grids, utils, links):
 
 def _scan_parts(net: Network, feas_tol):
     """The parts of the scan that depend on the network alone: per link,
-    whether the first source crosses it, the tail axes it crosses (in
-    source order) and the largest load it accepts; and, as 0/1 columns,
-    which links the first and the second source cross."""
-    tail_pos = {sid: b for b, sid in enumerate(net.source_ids[1:])}
-    links = [(net.source_ids[0] in on, [tail_pos[sid] for sid in on if sid in tail_pos],
-              cap + feas_tol)
+    the positions of the sources that cross it (ascending) and the
+    largest load it accepts; and per source, a 0/1 column of the links
+    it crosses."""
+    links = [([net.source_index[sid] for sid in on], cap + feas_tol)
              for on, cap in zip(net.sources_on_link, net.capacities)]
-    first_on = np.array([[float(first)] for first, _, _ in links])
-    second_on = np.array([[float(0 in on)] for _, on, _ in links])
-    return links, first_on, second_on
+    on = np.array([[[float(j in srcs)] for srcs, _ in links] for j in range(net.n_sources)])
+    return links, on
 
 
 def _best_on_grid(utilities, grids, parts, incumbent):
@@ -289,130 +255,94 @@ def _best_on_grid(utilities, grids, parts, incumbent):
     incumbent forward; scanned counts the grid points of the chunks
     whose links were tested. ``parts`` is :func:`_scan_parts`'s.
 
-    The first axis is scanned slice by slice. A slice is the grid of the
-    remaining (tail) axes. If it fits in CHUNK_POINTS points, it is
-    scanned whole as one chunk; otherwise it is scanned one row of its
-    first axis (one value of the second source) at a time, each row in
-    chunks of whole rows of its own first axis (sub-rows), as many as
-    the buffers hold. The chunk buffers (:func:`_chunk_buffers`) are
-    allocated once per pass, after the slice bounds, so that those
-    bounds' temporaries are freed before the buffers fill. No array of
-    the whole tail's shape is made. In each chunk, every link's tail
-    load is summed from the sparse tail axes, cut to the chunk, and
-    tested; the tests are ANDed into the chunk's mask; a chunk with no
-    feasible point is skipped before any utility is summed. Otherwise
-    the tail utilities are summed in the same way, U0(x0) is added,
-    infeasible points are set to -inf and the argmax is taken, which is
-    the chunk's first best point (C order).
+    The scan is one descent that fixes the sources in order. Its depth is
+    the least d >= 1 such that the grid of the sources after the first d
+    has at most CHUNK_POINTS points. At each level p < d, source p's grid
+    values get the prefix's utility plus the bound (:func:`_tail_bound`)
+    on the sources after p, with sources 0 to p fixed; no feasible point
+    under a value exceeds its bound. The values are visited in
+    descending bound, ties by index, up to the first bound that is -inf
+    or below the running best's utility. Below level d - 1, the grid of
+    the remaining sources (a chunk) is tested whole, with plain numpy
+    temporaries of at most CHUNK_POINTS points each.
 
-    Every tail sum starts from a 0-d zero and runs in source order, so a
-    link that no tail source crosses gives a 0-d load and a single
-    source gives one 0-d chunk with an empty tail index. A point's
-    utility is U0 + ((U1 + U2) + ...), the scan's own sum: ties, and
-    "first best point", are decided under that sum, which can differ by
-    an ulp from :func:`total_utility`'s left-to-right order.
-    ``build_network`` guarantees S >= 1, L >= 1 and a link on every
-    route, so the links' masks together span every tail axis.
-
-    Bounds (:func:`_tail_bound`): slice x0 gets U0(x0) plus the bound on
-    the tail sources with the first fixed at x0; in a slice scanned by
-    rows, row x1 gets U0(x0) + U1(x1) plus the bound on the sources
-    after the second with both fixed. No feasible point of a slice or
-    row exceeds its bound.
+    In a chunk, each link's load is summed from the fixed sources' values
+    and the chunk's sparse axes and tested; a chunk with no feasible point
+    is skipped before any utility is summed. Otherwise the utilities are
+    summed in the same way, infeasible points are set to -inf and the
+    argmax is taken, which is the chunk's first best point (C order).
+    Every sum starts from a 0-d zero, adds the terms of sources 1 to S-1
+    in source order, and then x0 or U0(x0). A point's utility is thus
+    U0 + ((U1 + U2) + ...), the scan's own sum: ties, and "first best
+    point", are decided under that sum, which can differ by an ulp from
+    :func:`total_utility`'s left-to-right order. ``build_network``
+    guarantees S >= 1, L >= 1 and a link on every route, so the links'
+    tests together span every axis of the chunk.
 
     The scan keeps one running best: a utility and the flat index of
     its point in this pass's grid (C order). An incumbent carried in
     from an earlier pass enters with index -1. Each chunk offers its
     first best feasible point, which replaces the best if its utility is
-    larger, or equal with a smaller index. Slices, and the rows of a
-    slice scanned by rows, are visited in descending bound, ties by
-    index, up to the first bound that is -inf or below the best's
-    utility. The result is that of scanning every point in lexicographic
-    order: the first best point under the scan's sum, or the incoming
-    incumbent if none beats it.
+    larger, or equal with a smaller index. The result is that of
+    scanning every point in lexicographic order: the first best point
+    under the scan's sum, or the incoming incumbent if none beats it.
     """
-    links, first_on, second_on = parts
+    links, on = parts
     grid_shape = tuple(len(g) for g in grids)
-    tail_shape = grid_shape[1:]
-    total, row, sub = (math.prod(tail_shape[k:]) for k in range(3))
-    n_sub = math.prod(tail_shape[1:2])  # sub-rows per row
-    axes = np.meshgrid(*grids[1:], indexing="ij", sparse=True)
-    zero = np.zeros(())
+    depth = next(d for d in range(1, len(grids) + 1) if math.prod(grid_shape[d:]) <= CHUNK_POINTS)
+    size = math.prod(grid_shape[depth:])
     grid_u = [eval_scurve(u, g) for u, g in zip(utilities, grids)]
-    tail_u = [v.reshape(ax.shape) for v, ax in zip(grid_u[1:], axes)]
-
-    def free_bound(p):
-        """The bound with the first p sources fixed (tail axis b is
-        source b + 1, so free position b + 1 - p)"""
-        return _tail_bound(grids[p:], grid_u[p:], [([b + 1 - p for b in on if b + 1 >= p], limit)
-                                                   for _, on, limit in links])
-
-    slice_bound = free_bound(1)(grid_u[0], first_on * grids[0])
-    row_bound = free_bound(2) if total > CHUNK_POINTS else None
-    load, feas, spare = _chunk_buffers(tail_shape)
+    axes = np.meshgrid(*grids[depth:], indexing="ij", sparse=True)
+    axes_u = [v.reshape(ax.shape) for v, ax in zip(grid_u[depth:], axes)]
+    # level p's bound: sources 0 to p fixed, source b > p free at b - p - 1
+    bounds = [_tail_bound(grids[p + 1:], grid_u[p + 1:],
+                          [([b - p - 1 for b in srcs if b > p], limit) for srcs, limit in links])
+              for p in range(depth)]
+    zero = np.zeros(())
     best_u = -np.inf if incumbent[1] is None else incumbent[1]
     best_k, scanned = -1, 0
 
-    def cut(arrays, lead):
-        """The sparse tail arrays, each of the first len(lead) cut along
-        its own axis to its slice in lead."""
-        return [a[(slice(None),) * k + (lead[k],)] if k < len(lead) else a
-                for k, a in enumerate(arrays)]
+    def visit(bound):
+        """The indices of bound in descending bound order, ties by
+        index, up to the first bound that is -inf or below the best's
+        utility."""
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] == -np.inf or bound[i] < best_u:
+                return
+            yield i
 
-    def chunk(i, lead):
-        """One chunk of slice i, whose leading tail axes are cut to the
-        slices in lead: offers its first best feasible point to the
-        running best."""
+    def chunk(idx):
+        """Tests the chunk under the fixed grid indices idx and offers its
+        first best feasible point to the running best."""
         nonlocal scanned, best_u, best_k
-        x0 = grids[0][i]
-        chunk_axes = cut(axes, lead)
-        shape = np.broadcast(zero, *chunk_axes).shape
-        scanned += math.prod(shape)
-        mask = None
-        for first, on, limit in links:
-            link_load = _sum_into([chunk_axes[b] for b in on], zero, load)
-            if first:
-                np.add(link_load, x0, out=link_load)
-            # a test or AND of the chunk's shape goes into feas, or into
-            # spare while feas holds the mask; smaller ones (links that
-            # cross few tail sources) are small temporaries, ANDed
-            # before they broadcast
-            full = mask is not None and mask.shape == shape
-            test = np.less_equal(link_load, limit, out=_front(spare if full else feas, shape)
-                                 if link_load.shape == shape else None)
-            if mask is None:
-                mask = test
-            else:
-                both = np.broadcast(mask, test).shape
-                mask = np.logical_and(mask, test, out=_front(feas, shape) if both == shape else None)
-        if not mask.any():
+        scanned += size
+        xs = [g[i] for g, i in zip(grids, idx)] + list(axes)
+        ok = True
+        for srcs, limit in links:
+            load = sum((xs[b] for b in srcs if b), zero)
+            ok = ok & ((load + xs[0] if 0 in srcs else load) <= limit)
+        if not np.any(ok):
             return
-        u_here = _sum_into(cut(tail_u, lead), zero, load)
-        np.add(u_here, grid_u[0][i], out=u_here)
-        np.copyto(u_here, -np.inf, where=np.logical_not(mask, out=_front(spare, shape)))
+        us = [v[i] for v, i in zip(grid_u, idx)] + axes_u
+        u_here = np.where(ok, sum(us[1:], zero) + us[0], -np.inf)
         flat = int(np.argmax(u_here))
         u = float(u_here.flat[flat])
-        k = i * total + sum(s.start * n for s, n in zip(lead, (row, sub))) + flat
+        k = int(np.ravel_multi_index(idx, grid_shape[:depth])) * size + flat
         if u > best_u or u == best_u and k < best_k:
             best_u, best_k = u, k
 
-    def visit(bounds):
-        """The indices of bounds in descending bound order, ties by
-        index, up to the first bound that is -inf or below the best's
-        utility."""
-        for k in np.argsort(-bounds, kind="stable"):
-            if bounds[k] == -np.inf or bounds[k] < best_u:
-                return
-            yield k
+    def descend(idx, prefix_u, prefix_load):
+        """Visits source len(idx)'s grid values under the fixed indices idx,
+        whose utility is prefix_u and whose load on each link prefix_load."""
+        p = len(idx)
+        us, loads = prefix_u + grid_u[p], prefix_load + on[p] * grids[p]
+        for i in visit(bounds[p](us, loads)):
+            if p + 1 == depth:
+                chunk(idx + (i,))
+            else:
+                descend(idx + (i,), us[i], loads[:, i:i + 1])
 
-    step = load.size // sub  # sub-rows per chunk; a buffer holds one at least
-    for i in visit(slice_bound):
-        if row_bound is None:
-            chunk(i, [])  # the whole slice
-            continue
-        for r in visit(row_bound(grid_u[0][i] + grid_u[1], first_on * grids[0][i] + second_on * grids[1])):
-            for c in range(0, n_sub, step):
-                chunk(i, [slice(r, r + 1), slice(c, c + step)])
+    descend((), 0.0, np.zeros((len(links), 1)))
     if best_k < 0:
         return incumbent, scanned
     return (np.array([g[k] for g, k in zip(grids, np.unravel_index(best_k, grid_shape))]), best_u), scanned
@@ -430,25 +360,23 @@ def grid_search(net: Network, utilities, spec: GridSpec | None = None) -> Oracle
     ``utility`` returned and can differ by an ulp from
     :func:`total_utility`.
 
-    Each pass visits the first source's grid values in descending order
-    of a slice bound and skips the slices whose bound is below the best
-    so far. A slice larger than CHUNK_POINTS points is scanned one row
-    (the second source's value) at a time, in descending order of a row
-    bound, and its rows whose bound is below the best so far are
-    skipped. The bound (``_tail_bound``) is the smaller of two
-    upper bounds on the remaining sources' utility: each source at its
-    best rate that fits with the others at their lowest, and, for each
-    link that two or more of them cross, a meet-in-the-middle maximum
-    under that link's capacity alone. It is padded (BUDGET_PAD Kbps on
-    each link, a relative BOUND_PAD on the utility) so that rounding
-    never skips a point that could tie. See ``_best_on_grid`` for the
-    visit order and the tie rule.
+    Each pass is one descent that fixes the sources in order, visiting
+    each source's grid values in descending order of a bound and skipping
+    those whose bound is below the best so far, until the grid of the
+    sources still free has at most CHUNK_POINTS points; that grid is
+    tested whole. The bound (``_tail_bound``) is the smaller of two upper
+    bounds on the free sources' utility: each source at its best rate
+    that fits with the others at their lowest, and, for each link that
+    two or more of them cross, a meet-in-the-middle maximum under that
+    link's capacity alone. It is padded (BUDGET_PAD Kbps on each link, a
+    relative BOUND_PAD on the utility) so that rounding never skips a
+    point that could tie. See ``_best_on_grid`` for the visit order and
+    the tie rule.
 
     ``evaluations`` still counts points_per_dim**S points per pass: each
     point is certified either by the scan or by a bound. ``scanned``
-    counts the points the scan tested, in chunks of at most about
-    CHUNK_POINTS points (a whole slice, a row, or whole sub-rows of a
-    row); no array of points_per_dim**(S-1) entries is made.
+    counts the points the scan tested, in chunks of at most CHUNK_POINTS
+    points.
 
     Raises
     ------
@@ -523,12 +451,15 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     Raises
     ------
     ValueError
-        Naming the argument, unless samples is an integer >= 1, seed None
-        or an integer >= 0, radius a finite real > 0 and each tolerance a
-        finite real >= 0 (see ``utility.finite_real``).
+        If there is not one utility per source. Naming the argument,
+        unless samples is an integer >= 1, seed None or an integer >= 0,
+        radius a finite real > 0 and each tolerance a finite real >= 0
+        (see ``utility.finite_real``).
     InfeasibleCandidateError
         If x_star itself is infeasible at feas_tol.
     """
+    if len(utilities) != net.n_sources:
+        raise ValueError(f"{len(utilities)} utilities for {net.n_sources} sources")
     samples = integer("samples", samples, ge=1)
     radius = finite_real("radius", radius, gt=0.0)
     feas_tol = finite_real("feas_tol", feas_tol, ge=0.0)

@@ -79,17 +79,21 @@ def integer(name: str, value, ge: int | None = None) -> int:
 
 
 def per_item(name: str, values, *shape: int) -> np.ndarray:
-    """The one shape check of a per-source or per-link array argument:
+    """The one check of a per-source or per-link array argument:
     ``values`` as a float array of exactly ``shape``, such as (S,) or
-    (L,). A mis-sized argument raises ValueError naming it. The entries
-    are not checked, so a NaN or an inf passes."""
+    (L,), from integers or floats, Python or numpy. A mis-sized argument,
+    or one that holds a bool, None, a str, bytes or a complex number,
+    raises ValueError naming it. The values are not checked, so a NaN or
+    an inf passes."""
     try:
-        a = np.asarray(values, dtype=float)
+        a = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an array of shape {shape}: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    return a
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

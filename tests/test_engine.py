@@ -17,6 +17,7 @@ from scpnum import (
     build_network,
     g_hat,
     g_true,
+    is_feasible,
     kkt_residual,
     link_load,
     load_scenario,
@@ -405,6 +406,35 @@ def test_views_take_well_sized_lists_as_arrays():
     rates = zip(update_rates(net, utilities, as_lists), update_rates(net, utilities, as_arrays))
     assert all(a.shape == (4,) and np.array_equal(a, b) for a, b in rates)
     assert total_utility(utilities, [100.0] * 4) == total_utility(utilities, np.full(4, 100.0))
+
+
+# per-source arguments that numpy would turn into floats: None into NaN,
+# True into 1.0, "100" and b"100" into 100.0
+NOT_REAL = {"none": [None] * 4, "bool": [True] * 4, "str": ["100"] * 4, "bytes": [b"100"] * 4,
+            "complex": np.full(4, 100.0 + 0j), "object": np.full(4, 100.0, dtype=object)}
+RATE_ARGUMENTS = {
+    "is_feasible": ("x", lambda net, u, x: is_feasible(net, x, [(v.m, v.big_m) for v in u], 0.5)),
+    "g_true": ("x_tilde", lambda net, u, x: g_true(net, u, x, 1)),
+    "total_utility": ("x", lambda net, u, x: total_utility(u, x)),
+}
+
+
+@pytest.mark.parametrize("values", NOT_REAL)
+@pytest.mark.parametrize("view", RATE_ARGUMENTS)
+def test_views_reject_entries_that_are_not_real_numbers(view, values):
+    net, utilities, _ = load_scenario("chain-3")
+    name, call = RATE_ARGUMENTS[view]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must hold real numbers"):
+        call(net, utilities, NOT_REAL[values])
+
+
+@pytest.mark.parametrize("view", RATE_ARGUMENTS)
+def test_views_take_integer_rates_as_floats(view):
+    net, utilities, _ = load_scenario("chain-3")
+    _, call = RATE_ARGUMENTS[view]
+    as_floats = call(net, utilities, [100.0] * 4)
+    for x in ([100] * 4, np.full(4, 100, dtype=np.int32), np.full(4, 100, dtype=np.uint64)):
+        assert call(net, utilities, x) == as_floats
 
 
 UNKNOWN_LINK = {

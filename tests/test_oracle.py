@@ -131,39 +131,46 @@ BRUTE_FORCE_CASES = {
     "tie": ([(1, 300.1)], [(1, (1,)), (2, (1,))], S_CURVES[:1] * 2, 11, 0),
     "chain": ([(1, 330.7), (2, 290.3)], [(1, (1, 2)), (2, (1,)), (3, (2,))], S_CURVES, 9, 0),
     # chain-3's shape: each tail source has a link of its own, so the
-    # slice bound is tight and one slice per pass is scanned
+    # first level's bound is tight and one chunk per pass is scanned
     "independent-tails": ([(1, 420.3), (2, 450.7), (3, 400.1)],
                           [(1, (1, 2, 3)), (2, (1,)), (3, (2,)), (4, (3,))],
                           tuple(SCurveUtility(r=256.0, c1=6.0, c2=c2)
                                 for c2 in (4.0, 2.0, 6.0, 8.0)),
                           7, 2),
-    # slices 3 and 4 reach the same utility, but slice 4 has the higher
-    # bound and is scanned first; slice 3, whose bound equals that
-    # utility, must still be scanned and win the tie
+    # first rates 3 and 4 reach the same utility, but 4 has the higher
+    # bound and is scanned first; 3, whose bound equals that utility,
+    # must still be scanned and win the tie
     "tie-scanned-late": ([(1, 699.8)], [(1, (1,)), (2, (1,)), (3, (1,))],
                          S_CURVES[:1] * 2 + S_CURVES[1:2], 5, 0),
     # the first pass ends on the plateau at 128 Kbps; the refined grid
     # reaches the plateau at lower rates, which tie and must not win
     "refinement-tie": ([(1, 300.3)], [(1, (1,))], (PLATEAU,), 12, 2),
-    # every pass of a grid_search call refills the same scan buffers:
-    # 0-d ones for one source, 1-d ones for two, and for four sources on
-    # one link 3-d ones whose feasible set in a refined pass differs from
-    # the first pass's at the same positions
+    # every pass of a grid_search call scans a new grid: 0-d chunks for
+    # one source, 1-d ones for two, and for four sources on one link 3-d
+    # ones whose feasible set in a refined pass differs from the first
+    # pass's at the same positions
     "one-source-refined": ([(1, 97.3)], [(1, (1,))], S_CURVES[2:], 9, 2),
     "two-sources-refined": ([(1, 250.3)], [(1, (1,)), (2, (1,))], S_CURVES[:2], 8, 2),
     "shared-link-refined": ([(1, 700.3)], [(s, (1,)) for s in range(1, 5)],
                             S_CURVES + (SCurveUtility(r=224.0, c1=5.5, c2=3.0),), 6, 2),
-    # sources 2 and 3 share a curve, so in the best slice rows 153.8 and
-    # 192 reach the same utility under the scan's sum; scanned by rows
-    # (the chunked tests), row 192 has the higher row bound, by rounding,
-    # and is scanned first, and row 153.8 must still be scanned and win
+    # sources 2 and 3 share a curve, so under the best first rate the
+    # second rates 153.8 and 192 reach the same utility under the scan's
+    # sum; when the descent fixes the second source too (the chunked
+    # tests), 192 has the higher bound, by rounding, and is scanned
+    # first, and 153.8 must still be scanned and win
     "row-tie": ([(1, 645.33)], [(s, (1,)) for s in range(1, 5)],
                 (S_CURVES[2], S_CURVES[1], S_CURVES[1], PLATEAU), 6, 0),
     # the third source's rates from 128.5 to 256 Kbps all tie on the
-    # plateau; scanned by rows, one row's sub-rows hold them, and the
-    # first must win
+    # plateau; they lie in one chunk, or in one-point chunks when the
+    # descent fixes every source, and the first must win
     "sub-row-tie": ([(1, 300.7), (2, 299.9)], [(1, (1,)), (2, (1,)), (3, (2,))],
                     S_CURVES[:2] + (SCurveUtility(r=128.0, c1=40.0, c2=1.0, big_m=256.0),), 9, 0),
+    # five sources on one link, the most the grid takes: the chunked
+    # tests fix two, three and all five of them before a chunk, and the
+    # best point starves the third source at its lowest rate
+    "five-sources": ([(1, 650.3)], [(s, (1,)) for s in range(1, 6)],
+                     S_CURVES + (SCurveUtility(r=224.0, c1=5.5, c2=3.0),
+                                 SCurveUtility(r=160.0, c1=4.5, c2=5.0)), 5, 1),
 }
 
 
@@ -179,7 +186,7 @@ def test_grid_matches_brute_force(case):
     assert res.evaluations == (passes + 1) * n ** len(utilities)
 
 
-# the results of scanning every slice in index order, which the pruned
+# the results of scanning every point in index order, which the pruned
 # scan must reproduce bit for bit
 PINNED_GRID = {
     "chain-3": (["0x1.59cb6db6db6dbp+7", "0x1.ee09e79e79e7ap+7", "0x1.0000000000000p+8",
@@ -218,11 +225,12 @@ def test_grid_ties_break_under_the_scan_sum():
 
 
 def chunk_points(size, n, n_sources):
-    """CHUNK_POINTS for one point per chunk (so one row of the first
-    tail axis, or one sub-row of a larger row), for a row count per
-    chunk that does not divide n, or for a sub-row count per chunk that
-    does not divide n. Any of them makes a slice of two or more sources
-    larger than a chunk, so it is scanned by rows."""
+    """CHUNK_POINTS for one point per chunk (the descent fixes every
+    source), or for k * n**(S-2) or k * n**(S-3) points with k < n not
+    dividing n (it fixes two or three sources, and a chunk is smaller
+    than CHUNK_POINTS). Any of them makes the grid of two or more
+    sources after the first larger than a chunk, so the descent goes
+    deeper than at the default size."""
     if size == "one-point":
         return 1
     if size == "rows-not-dividing":
@@ -240,18 +248,28 @@ def test_chunked_grid_matches_brute_force(monkeypatch, case, size):
     links, routes, utilities, n, passes = BRUTE_FORCE_CASES[case]
     net = build_network(links, routes)
     spec = GridSpec(points_per_dim=n, refinement_passes=passes)
-    whole = grid_search(net, utilities, spec)  # every slice fits in one chunk
+    whole = grid_search(net, utilities, spec)  # the descent fixes the first source only
     monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, n, len(utilities)))
     res = grid_search(net, utilities, spec)
     ref_x, ref_u = brute_force(net, utilities, spec)
     assert res.x.tobytes() == ref_x.tobytes()
     assert res.utility == pytest.approx(ref_u, rel=1e-12)
     assert res.evaluations == (passes + 1) * n ** len(utilities)
-    # the same slices are visited, and the row bounds skip rows of them
+    # the same first rates are visited, and the deeper bounds skip parts of them
     if len(utilities) > 1:
         assert res.scanned < whole.scanned
     else:
         assert res.scanned == whole.scanned
+
+
+# per scenario, the scanned count at each CHUNK_SIZES entry: one chunk
+# per pass, of the sources that the descent leaves free at that size
+PINNED_CHUNKED_SCANNED = {
+    "chain-3": {"one-point": 3, "rows-not-dividing": 3 * 64 ** 2, "sub-rows-not-dividing": 3 * 64},
+    "single-source": {"one-point": 3, "rows-not-dividing": 3, "sub-rows-not-dividing": 3},
+    "paper-scenario-1": {"one-point": 3, "rows-not-dividing": 3 * 64 ** 3,
+                         "sub-rows-not-dividing": 3 * 64 ** 2},
+}
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -259,31 +277,30 @@ def test_chunked_grid_matches_brute_force(monkeypatch, case, size):
 def test_chunked_grid_result_is_pinned(monkeypatch, name, size):
     x_hex, utility, evaluations = PINNED_GRID[name]
     net, utilities, _ = load_scenario(name)
-    # chain-3's and paper-scenario-1's slices are scanned by rows at the
-    # default size too: a smaller chunk cuts the same rows finer
-    default = grid_search(net, utilities, GridSpec())
     monkeypatch.setattr(scpnum.oracle, "CHUNK_POINTS", chunk_points(size, 64, len(utilities)))
     res = grid_search(net, utilities, GridSpec())
     assert [float.hex(v) for v in res.x.tolist()] == x_hex
     assert repr(res.utility) == utility
     assert res.evaluations == evaluations
-    assert res.scanned == default.scanned
+    assert res.scanned == PINNED_CHUNKED_SCANNED[name][size]
 
 
 def test_grid_scans_one_row_per_pass():
-    # chain-3's tail sources each have a link of their own, so the row
-    # bound is tight and one 64**2-point row is scanned per pass
+    # chain-3's tail sources each have a link of their own, so the bound
+    # is tight and one 64**2-point chunk (a row, with the first two
+    # sources fixed) is scanned per pass
     net, utilities, _ = load_scenario("chain-3")
     assert grid_search(net, utilities, GridSpec()).scanned == 3 * 64 ** 2
     # paper-scenario-1's five sources share one link, which only the
-    # meet-in-the-middle bound counts: no more than two slices per pass
+    # meet-in-the-middle bound counts; the descent fixes three of them,
+    # and one 64**2-point chunk is scanned per pass
     net, utilities, _ = load_scenario("paper-scenario-1")
-    assert grid_search(net, utilities, GridSpec()).scanned <= 3 * 2 * 64 ** 4
+    assert grid_search(net, utilities, GridSpec()).scanned == 3 * 64 ** 2
 
 
 # per gen_instance draw from default_rng(INSTANCE_SEED), the first 16 hex
 # digits of sha256(x bytes + repr(utility)) of its grid_search result,
-# as the scan of every slice in index order returned them
+# as the scan of every point in index order returned them
 SEEDED_DIGESTS = {
     "default": ["269bcdaa76be18e4", "d69abd9cfd2dd262", "496610f9d2adb86b", "0470335fbc6f21af",
                 "a74883d4df5d2e73", "79766e347eef1311", "ba1d88bd79622086", "3c58f61337b25600",
@@ -323,8 +340,8 @@ def test_grid_seeded_draws_are_pinned(spec):
 def test_grid_capacity_on_grid_nodes_is_pinned(monkeypatch, size):
     # 134.8 + 179.4 + 153.8 + 103 = 571 Kbps: the best point fills the
     # link exactly, with no feas_tol slack. The bound sums it in another
-    # order, which rounds above 571; only the budget pad keeps that
-    # point's slice (and row) from being skipped
+    # order, which rounds above 571; only the budget pad keeps the
+    # point's rates at every level of the descent from being skipped
     utilities = (SCurveUtility(r=224.0, c1=5.5, c2=3.0),) * 2 + S_CURVES[1::-1]
     net = build_network([(1, 571.0)], [(s, (1,)) for s in range(1, 5)])
     if size is not None:
@@ -438,6 +455,15 @@ def test_local_opt_rejects_bad_arguments(kw):
     net, utilities = capped_single_source(300.0)
     with pytest.raises(ValueError, match=next(iter(kw))):
         local_opt_test(net, utilities, np.array([200.0]), **{"seed": 12, **kw})
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_local_opt_needs_one_utility_per_source(count):
+    # as grid_search and Model do, not with an error about bounds
+    net, utilities, _ = load_scenario("chain-3")
+    utilities = (utilities * 2)[:count]
+    with pytest.raises(ValueError, match=rf"^{count} utilities for 4 sources$"):
+        local_opt_test(net, utilities, [100.0] * 4, seed=12)
 
 
 def test_local_opt_infeasible_candidate():
