@@ -343,6 +343,9 @@ def _best_on_grid(utilities, grids, parts, incumbent):
                 descend(idx + (i,), us[i], loads[:, i:i + 1])
 
     descend((), 0.0, np.zeros((len(links), 1)))
+    # descend refers to itself, a reference cycle that would keep this
+    # pass's bound tables alive until the garbage collector runs
+    del descend
     if best_k < 0:
         return incumbent, scanned
     return (np.array([g[k] for g, k in zip(grids, np.unravel_index(best_k, grid_shape))]), best_u), scanned

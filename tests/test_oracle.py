@@ -1,5 +1,6 @@
 """Grid-search oracle, sampled local optimality, and gradient checking."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -370,6 +371,21 @@ def test_grid_scan_memory_is_bounded_by_the_chunk(monkeypatch, case):
     finally:
         tracemalloc.stop()
     assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize("name", PINNED_GRID)
+def test_grid_search_leaves_no_reference_cycles(name):
+    # a cycle (such as a recursive closure) would keep each pass's bound
+    # tables alive until the garbage collector runs
+    net, utilities, _ = load_scenario(name)
+    net.incidence
+    gc.collect()
+    gc.disable()
+    try:
+        grid_search(net, utilities, GridSpec(points_per_dim=16, refinement_passes=1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grid_source_budget():
