@@ -63,6 +63,7 @@ from .utility import SCurveUtility, finite_real, finite_reals, integer, per_item
 
 __all__ = [
     "SolverConfig",
+    "start_misfit",
     "IterateState",
     "TraceRecord",
     "AllocationResult",
@@ -109,6 +110,10 @@ class SolverConfig:
         inside its rate window; None starts every source at the midpoint
         (m + M)/2.
 
+    A config does not know its network, so whether mu0 and x0 fit one
+    (their lengths and x0's windows) is checked where a solve starts, by
+    :func:`start_misfit`, the one check of a start.
+
     Two constants are not settings: ``feas_tol``, the feasibility slack
     of 0.5 Kbps that the steady-state test and the reports use, and the
     path-price floor below which a rate saturates at its upper bound,
@@ -131,6 +136,28 @@ class SolverConfig:
         object.__setattr__(self, "mu0", read("mu0", self.mu0, ge=0.0))
         if self.x0 is not None:
             object.__setattr__(self, "x0", finite_reals("x0", self.x0))
+
+
+def start_misfit(x0, mu0, m, big_m, n_links: int):
+    """The one check that a start fits its network: the first misfit of
+    a config's ``x0`` and ``mu0``, as (field, reason), or None. ``m`` and
+    ``big_m`` are the sources' rate windows, one entry per source. x0,
+    unless None, must hold one rate per source, each inside its window (a
+    NaN is outside); a per-link mu0, a tuple, must hold one price per
+    link. The scenario parser reports a misfit at ``solver.<field>``, and
+    :meth:`Model.initial_state` raises it as ValueError("<field>: <reason>")."""
+    if x0 is not None:
+        if len(x0) != len(m):
+            return "x0", f"expected list of {len(m)} rates"
+        x0 = np.asarray(x0, dtype=float)
+        outside = np.flatnonzero(~((m <= x0) & (x0 <= big_m)))
+        if outside.size:
+            j = outside[0]
+            return f"x0[{j}]", (f"rate {x0[j]:g} outside the source's window "
+                                f"[{m[j]:g}, {big_m[j]:g}] Kbps")
+    if isinstance(mu0, tuple) and len(mu0) != n_links:
+        return "mu0", f"expected {n_links} entries, got {len(mu0)}"
+    return None
 
 
 @dataclass
@@ -350,23 +377,20 @@ class Model:
         return bool(np.any((s.x_tilde <= self.curves.lo)[self.inc.src] & loose[self.inc.link]))
 
     def initial_state(self, config: SolverConfig) -> IterateState:
+        """The t=0 iterate from config's x0 (the window midpoints when
+        None) and mu0, with its loads.
+
+        Raises ValueError("<field>: <reason>") for a start that does not
+        fit the network (:func:`start_misfit`), and
+        NonPositiveExpansionPointError for a window whose transformed
+        floor lo is not > 0."""
         c = self.curves
-        if config.x0 is not None:
-            x0 = np.array(config.x0, dtype=float)
-            if x0.shape != (self.n_sources,):
-                raise ValueError(f"x0 must have {self.n_sources} entries, got {x0.shape}")
-            outside = np.flatnonzero(~((c.m <= x0) & (x0 <= c.big_m)))
-            if outside.size:
-                j = outside[0]
-                raise ValueError(f"x0[{j}]={x0[j]} outside [{c.m[j]}, {c.big_m[j]}]")
-        else:
-            x0 = (c.m + c.big_m) / 2.0
-        if isinstance(config.mu0, tuple):
-            mu0 = np.array(config.mu0, dtype=float)
-            if mu0.shape != (self.n_links,):
-                raise ValueError(f"mu0 must have {self.n_links} entries, got {mu0.shape}")
-        else:
-            mu0 = np.full(self.n_links, float(config.mu0))
+        x0 = (c.m + c.big_m) / 2.0 if config.x0 is None else np.array(config.x0, dtype=float)
+        misfit = start_misfit(x0, config.mu0, c.m, c.big_m, self.n_links)
+        if misfit:
+            raise ValueError("%s: %s" % misfit)
+        mu0 = (np.array(config.mu0, dtype=float) if isinstance(config.mu0, tuple)
+               else np.full(self.n_links, float(config.mu0)))
         # every later expansion point is a rate clipped to >= lo
         floor = np.flatnonzero(~(c.lo > 0.0))
         if floor.size:

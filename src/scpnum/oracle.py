@@ -190,16 +190,13 @@ def _tail_bound(grids, utils, links):
     by BUDGET_PAD Kbps and the bound by a relative BOUND_PAD (utilities
     are positive): a block is skipped only when it is strictly worse.
 
-    With one free source no link has two, so the bound is the
-    per-source one and nothing else is built; with none free it is the
-    prefix's utility wherever the prefix fits.
+    With one free source no link has two, so the bound is the per-source
+    one; with none free it is the prefix's utility plus 0.0 wherever the
+    prefix fits.
     """
     lows = [g[0] for g in grids]
     headroom = np.array([limit + BUDGET_PAD - sum((lows[b] for b in on), 0.0)
                          for on, limit in links])[:, None]
-    if not grids:
-        return lambda prefix_u, prefix_load: np.where(
-            (headroom - prefix_load >= 0.0).all(axis=0), prefix_u, -np.inf) * (1.0 + BOUND_PAD)
     singles = [_best_within(g - lo, u) for g, lo, u in zip(grids, lows, utils)]
     crossed = [[l for l, (on, _) in enumerate(links) if b in on] for b in range(len(grids))]
 
@@ -210,10 +207,6 @@ def _tail_bound(grids, utils, links):
         for b, (table, ls) in enumerate(zip(singles, crossed)):
             per[b] = _at_budget(table, slack[ls].min(axis=0))
         return per, np.where((slack >= 0.0).all(axis=0), per.sum(axis=0), -np.inf)
-
-    if len(grids) == 1:
-        return lambda prefix_u, prefix_load: (
-            (prefix_u + per_source(headroom - prefix_load)[1]) * (1.0 + BOUND_PAD))
 
     def sums(on):
         """The (extra load, utility) sums over every grid point of the sources on"""
@@ -455,9 +448,10 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     ------
     ValueError
         If there is not one utility per source. Naming the argument,
-        unless samples is an integer >= 1, seed None or an integer >= 0,
-        radius a finite real > 0 and each tolerance a finite real >= 0
-        (see ``utility.finite_real``).
+        unless x_star is a real array of shape (S,) (see
+        ``utility.per_item``), samples an integer >= 1, seed None or an
+        integer >= 0, radius a finite real > 0 and each tolerance a
+        finite real >= 0 (see ``utility.finite_real``).
     InfeasibleCandidateError
         If x_star itself is infeasible at feas_tol.
     """
@@ -468,7 +462,7 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     feas_tol = finite_real("feas_tol", feas_tol, ge=0.0)
     improvement_tol = finite_real("improvement_tol", improvement_tol, ge=0.0)
     seed = perturbation_seed() if seed is None else integer("seed", seed, ge=0)
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = per_item("x_star", x_star, net.n_sources)
     bounds = [(u.m, u.big_m) for u in utilities]
     rep = is_feasible(net, x_star, bounds, feas_tol)
     if not rep.ok:

@@ -12,21 +12,24 @@ optional ``solver`` block:
     }
 
 The optional fields and their defaults: ``m_kbps`` 1 and ``big_m_kbps``
-the source's ``r_kbps``; in ``solver``, ``gamma`` 1e-4, ``epsilon`` 0.1,
-``max_iter`` 10000, ``mu0`` 1.0, and ``x0`` the midpoints of the rate
-windows. Every other field is required. ``mu0`` is a scalar or a
-per-link list (ascending link id); ``x0`` is per-source (ascending
-source id). Rates and capacities are Kbps. The solver's feasibility
-tolerance is fixed at 0.5 Kbps; no field sets it.
+the source's ``r_kbps``; in ``solver``, ``SolverConfig``'s: ``gamma``
+1e-4, ``epsilon`` 0.1, ``max_iter`` 10000, ``mu0`` 1.0, and ``x0`` the
+midpoints of the rate windows. Every other field is required. ``mu0``
+is a scalar or a per-link list (ascending link id); ``x0`` is a
+per-source list (ascending source id), each rate inside its source's
+window. Whether the start fits the network is the one check
+``engine.start_misfit``, which ``solve`` also makes; the parser reports
+its misfit at ``solver.x0``, ``solver.x0[i]`` or ``solver.mu0``. Rates
+and capacities are Kbps. The solver's feasibility tolerance is fixed at
+0.5 Kbps; no field sets it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
-from .engine import SolverConfig
+from .engine import SolverConfig, start_misfit
 from .network import Network, build_network
 from .utility import SCurveUtility
 
@@ -155,10 +158,25 @@ def _route(val, *where) -> tuple:
     return tuple(val)
 
 
+def _numbers(val, *where) -> tuple:
+    path = ".".join(where)
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(val))
+
+
+def _prices(val, *where):
+    return _numbers(val, *where) if isinstance(val, list) else _number(val, *where)
+
+
+def _rates(val, *where) -> tuple:
+    # anything but a list holds no rates, which start_misfit rejects by count
+    return _numbers(val, *where) if isinstance(val, list) else ()
+
+
 REQUIRED = object()  # the default of a field that must be present
 
-# The fields of a link and of a source: JSON key -> (attribute, reader,
-# default). The parser reads by these tables, scenario_to_json writes by them.
+# The fields of a link, a source and the solver block: JSON key ->
+# (attribute, reader, default). The parser reads by these tables,
+# scenario_to_json writes by them.
 LINK_FIELDS = {
     "id": ("id", _integer, REQUIRED),
     "capacity_kbps": ("capacity", _number, REQUIRED),
@@ -172,7 +190,13 @@ SOURCE_FIELDS = {
     "big_m_kbps": ("big_m", _number, SCurveUtility.big_m),
     "route": ("route", _route, REQUIRED),
 }
-SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))
+SOLVER_FIELDS = {
+    "gamma": ("gamma", _number, SolverConfig.gamma),
+    "epsilon": ("epsilon", _number, SolverConfig.epsilon),
+    "max_iter": ("max_iter", _integer, SolverConfig.max_iter),
+    "mu0": ("mu0", _prices, SolverConfig.mu0),
+    "x0": ("x0", _rates, SolverConfig.x0),
+}
 
 
 def _read(entry, path: str, table: dict) -> dict:
@@ -232,31 +256,13 @@ def _model_from_doc(doc: dict):
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
         raise ScenarioValidationError("solver", f"expected object, got {type(solver_doc).__name__}")
-    for key in solver_doc:
-        if key not in SOLVER_KEYS:
-            raise ScenarioValidationError(f"solver.{key}", "unknown field")
-    kwargs = {key: read(solver_doc[key], "solver", key) for key, read in
-              (("gamma", _number), ("epsilon", _number), ("max_iter", _integer))
-              if key in solver_doc}
-    if "mu0" in solver_doc:
-        val = solver_doc["mu0"]
-        if isinstance(val, list) and len(val) != net.n_links:
-            raise ScenarioValidationError(
-                "solver.mu0", f"expected {net.n_links} entries, got {len(val)}")
-        kwargs["mu0"] = (tuple(_number(v, f"solver.mu0[{i}]") for i, v in enumerate(val))
-                         if isinstance(val, list) else _number(val, "solver", "mu0"))
-    if "x0" in solver_doc:
-        val = solver_doc["x0"]
-        if not isinstance(val, list) or len(val) != net.n_sources:
-            raise ScenarioValidationError(
-                "solver.x0", f"expected list of {net.n_sources} rates")
-        kwargs["x0"] = tuple(_number(v, f"solver.x0[{i}]") for i, v in enumerate(val))
-        for i, (x, u) in enumerate(zip(kwargs["x0"], utils)):
-            if not u.m <= x <= u.big_m:
-                raise ScenarioValidationError(
-                    f"solver.x0[{i}]", f"rate {x:g} outside the source's window "
-                                       f"[{u.m:g}, {u.big_m:g}] Kbps")
-    return net, utils, _at("solver", SolverConfig, **kwargs)
+    solver = _read(solver_doc, "solver", SOLVER_FIELDS)
+    # before SolverConfig, which would reject a NaN rate without its index
+    misfit = start_misfit(solver["x0"], solver["mu0"], [u.m for u in utils],
+                          [u.big_m for u in utils], net.n_links)
+    if misfit:
+        raise ScenarioValidationError(f"solver.{misfit[0]}", misfit[1])
+    return net, utils, _at("solver", SolverConfig, **solver)
 
 
 def parse_scenario(text: str, origin: str = "<string>"):
@@ -295,6 +301,6 @@ def scenario_to_json(net: Network, utilities, config: SolverConfig) -> str:
     }
     doc = {section: [{key: rec[attr] for key, (attr, _, _) in table.items()} for rec in records]
            for section, (table, records) in sections.items()}
-    doc["solver"] = {f.name: getattr(config, f.name) for f in fields(SolverConfig)
-                     if getattr(config, f.name) is not None}
+    doc["solver"] = {key: value for key, (attr, _, _) in SOLVER_FIELDS.items()
+                     if (value := getattr(config, attr)) is not None}
     return json.dumps(doc, indent=2)

@@ -473,6 +473,16 @@ def test_local_opt_rejects_bad_arguments(kw):
         local_opt_test(net, utilities, np.array([200.0]), **{"seed": 12, **kw})
 
 
+@pytest.mark.parametrize("x_star", [[True], ["90"], [1.0, 2.0], [[90.0]]],
+                         ids=["bool", "str", "two-rates", "nested"])
+def test_local_opt_checks_x_star_by_name(x_star):
+    # x_star is checked as x_star, not converted to a rate or passed on
+    # to is_feasible as its x
+    net, utilities = capped_single_source(300.0)
+    with pytest.raises(ValueError, match=r"^x_star must "):
+        local_opt_test(net, utilities, x_star, seed=12)
+
+
 @pytest.mark.parametrize("count", [3, 5])
 def test_local_opt_needs_one_utility_per_source(count):
     # as grid_search and Model do, not with an error about bounds

@@ -20,6 +20,7 @@ from scpnum import (
     ParseError,
     ScenarioValidationError,
     SolverConfig,
+    built_in_scenario,
     grid_search,
     load_scenario,
     parse_scenario,
@@ -257,6 +258,27 @@ def test_x0_outside_rate_window_rejected(x0):
         parse_scenario(json.dumps(doc))
     assert exc.value.path == "solver.x0[0]"
     assert "[1, 256]" in str(exc.value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("x0", [168.0, 168.0, 180.0]),
+    ("x0", [168.0, 168.0, 180.0, 160.0, 160.0]),
+    ("x0", [168.0, 168.0, 0.5, 160.0]),
+    ("x0", [168.0, 300.0, 180.0, 160.0]),
+    ("mu0", [0.002, 0.002]),
+], ids=["x0-short", "x0-long", "x0-below", "x0-above", "mu0-length"])
+def test_parser_and_solve_reject_a_start_alike(key, value):
+    # one start check: solve's ValueError reads as the parser's error
+    # without its "solver." prefix
+    doc = built_in_scenario("chain-3")
+    net, utilities, config = parse_scenario(json.dumps(doc))
+    doc["solver"][key] = value
+    with pytest.raises(ScenarioValidationError) as parsed:
+        parse_scenario(json.dumps(doc))
+    with pytest.raises(ValueError) as solved:
+        solve(net, utilities, replace(config, **{key: tuple(value)}))
+    assert str(parsed.value).startswith("solver.")
+    assert str(solved.value) == str(parsed.value).removeprefix("solver.")
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
