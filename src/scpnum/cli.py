@@ -37,6 +37,7 @@ from .oracle import (
     MAX_SOURCES,
     BudgetExceededError,
     GridSpec,
+    InfeasibleCandidateError,
     NoFeasiblePointError,
     grid_search,
     local_opt_test,
@@ -267,12 +268,23 @@ def cmd_validate(args) -> int:
     # only a machine-precision fixed point can survive the sampled
     # improvement test, so re-run to a tight tolerance first
     polished = polish(net, utilities, res, config)
-    report = local_opt_test(net, utilities, polished.x, radius=LOCAL_OPT_RADIUS,
-                            samples=LOCAL_OPT_SAMPLES, seed=seed)
-    verdict = utility_ok or report.passed
+    # polish stops within feas_tol of every capacity, which the test's
+    # tighter tolerance can still reject: that is a failed test, reported
+    try:
+        report = local_opt_test(net, utilities, polished.x, radius=LOCAL_OPT_RADIUS,
+                                samples=LOCAL_OPT_SAMPLES, seed=seed)
+    except InfeasibleCandidateError as exc:
+        local_ok = False
+        local_result = "passed=false infeasible_candidate=" + ", ".join(
+            f"{v.kind} {v.ident} (excess {v.excess:.3e} Kbps)" for v in exc.violations)
+    else:
+        local_ok = report.passed
+        local_result = (f"passed={str(local_ok).lower()} feasible_samples="
+                        f"{report.samples_feasible} best_gain={report.best_gain: .3e}")
+    verdict = utility_ok or local_ok
     if verdict:
         held = [case for case, ok in (("utility match", utility_ok),
-                                      ("local optimum", report.passed)) if ok]
+                                      ("local optimum", local_ok)) if ok]
         verdict_line = f"verdict: PASS ({' and '.join(held)})"
     else:
         verdict_line = "verdict: FAIL (utility gap > 1e-3 and local_opt_test failed)"
@@ -296,8 +308,7 @@ def cmd_validate(args) -> int:
         f"utility gap (engine - oracle): {gap: .6e}  (|gap| <= 1e-3: "
         f"{str(utility_ok).lower()})",
         f"local_opt_test at polished engine point (radius {LOCAL_OPT_RADIUS:g} Kbps, "
-        f"{LOCAL_OPT_SAMPLES} samples, seed {seed}): passed={str(report.passed).lower()} "
-        f"feasible_samples={report.samples_feasible} best_gain={report.best_gain: .3e}",
+        f"{LOCAL_OPT_SAMPLES} samples, seed {seed}): {local_result}",
         f"polish: converged={str(polished.converged).lower()} "
         f"iterations={polished.iterations} stop_reason={polished.stop_reason}",
         "",
@@ -306,7 +317,7 @@ def cmd_validate(args) -> int:
     (out / "validation.txt").write_text("\n".join(lines) + "\n")
     print(f"{args.scenario}: verdict {'PASS' if verdict else 'FAIL'} "
           f"(utility gap {gap:.2e}, local_opt_test "
-          f"{'passed' if report.passed else 'failed'}), outputs in {out}")
+          f"{'passed' if local_ok else 'failed'}), outputs in {out}")
     return 0 if (verdict and res.converged) else 1
 
 

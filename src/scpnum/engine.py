@@ -10,12 +10,16 @@ set from the inside, and (b) solves the resulting concave problem by one
 projected-gradient step on the link prices followed by the closed-form
 per-source rate maximizer.
 
-All per-source and per-link arithmetic is one set of numpy array
-kernels over a :class:`Model`: the network's incidence arrays plus
-per-source constants computed once per solve. The two routing sums,
-each link's load and each source's path price, are the incidence
-arrays' own methods (:class:`scpnum.network.IncidenceArrays`), and no
-other module reads the orders they run in. Both add strictly left to
+This module holds the iteration: the price step, the closed-form rate
+step, the tangent and load kernels, the :class:`Model` they run over,
+the driver loop and the per-item views. The curve formulas (the
+transform, its inverse, U and U' in y) and their per-source array form,
+:class:`~scpnum.utility.Curves`, are :mod:`scpnum.utility`'s kernels; a
+Model holds the network's incidence arrays plus the sources' Curves,
+computed once per solve. The two routing sums, each link's load and
+each source's path price, are the incidence arrays' own methods
+(:class:`scpnum.network.IncidenceArrays`), and no other module reads
+the orders they run in. Both add strictly left to
 right with ``np.bincount(weights=...)``; ``np.sum`` reorders the
 additions of slices of 8 or more elements and is never used for them.
 With every operand a 1-d array (numpy takes other paths for 0-d
@@ -53,13 +57,14 @@ are therefore bitwise-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .network import Network
-from .utility import SCurveUtility, finite_real, finite_reals, integer, per_item
+# g_terms: a source's true-load term, its rate before the clip, r * x_tilde**p
+from .utility import (Curves, SCurveUtility, du_of_y, finite_real, finite_reals, integer,
+                      per_item, x_of_y as g_terms, y_of_x)
 
 __all__ = [
     "SolverConfig",
@@ -220,45 +225,6 @@ class AllocationResult:
 # ---------------------------------------------------------------------------
 # array kernels and the Model that both schedulers step
 
-class Curves(NamedTuple):
-    """Per-source constants of the kernels, one array per field, aligned
-    with ascending source id: the curve parameters, the load exponent
-    p = 1/c2, the transformed window [lo, hi],
-    log_k = log(c1*c2 / (r*(1 - exp(-c1)))), and the exponents 1 - p of
-    the rate step and p - 1 of the tangent's slope."""
-
-    r: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    p: np.ndarray
-    m: np.ndarray
-    big_m: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    log_k: np.ndarray
-    one_minus_p: np.ndarray
-    p_minus_1: np.ndarray
-
-    @classmethod
-    def of(cls, utilities) -> "Curves":
-        r, c1, c2, m, big_m = (np.fromiter(map(attrgetter(f), utilities), dtype=float)
-                               for f in ("r", "c1", "c2", "m", "big_m"))
-        log_k = np.log(c1 * c2 / (r * -np.expm1(-c1)))
-        p = 1.0 / c2
-        return cls(r, c1, c2, p, m, big_m, transformed(r, c2, m),
-                   transformed(r, c2, big_m), log_k, 1.0 - p, p - 1.0)
-
-
-def transformed(r, c2, x):
-    """y = (x/r)**c2 elementwise."""
-    return np.power(x / r, c2)
-
-
-def g_terms(r, p, xt):
-    """Per-source Kbps contributions to the true link load."""
-    return r * np.power(xt, p)
-
-
 def _slope(p, xt_prev, p_minus_1):
     return p * np.power(xt_prev, p_minus_1)
 
@@ -329,11 +295,9 @@ class Model:
     """The kernels' inputs for one network and its sources: the
     network's :class:`~scpnum.network.IncidenceArrays` ``inc``, built
     once per network, with its capacities and sizes; the sources'
-    Curves, built once per solve; and a (2, S) scratch block that holds
-    an iteration's true- and tangent-load terms while :meth:`loads` sums
-    them, so one Model sums one iteration at a time. Every per-source
-    and per-link argument of its methods is a float array of shape (S,)
-    or (L,)."""
+    :class:`~scpnum.utility.Curves`, built once per solve. Every
+    per-source and per-link argument of its methods is a float array of
+    shape (S,) or (L,)."""
 
     def __init__(self, net: Network, utilities):
         if len(utilities) != net.n_sources:
@@ -342,8 +306,6 @@ class Model:
         self.capacities = self.inc.capacities
         self.n_links, self.n_sources = net.n_links, net.n_sources
         self.curves = Curves.of(utilities)
-        self._block = np.empty((2, self.n_sources))
-        self._rows = tuple(self._block)
 
     def g_true(self, x_tilde) -> np.ndarray:
         c = self.curves
@@ -364,10 +326,10 @@ class Model:
         is a clipped rate, >= lo > 0 (:meth:`initial_state` checks lo),
         so the tangent terms go unchecked."""
         c = self.curves
-        true, tangent = self._rows
-        np.multiply(c.r, w, out=true)
-        tangent_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev, c.p_minus_1, out=tangent)
-        both = self.inc.link_sums(self._block)
+        block = np.empty((2, self.n_sources))
+        np.multiply(c.r, w, out=block[0])
+        tangent_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev, c.p_minus_1, out=block[1])
+        both = self.inc.link_sums(block)
         return both[0], both[1]
 
     def collapsed(self, s: IterateState, tol: float) -> bool:
@@ -398,7 +360,7 @@ class Model:
             raise NonPositiveExpansionPointError(
                 f"expansion points must be > 0, but source index {j} has the "
                 f"transformed rate floor (m/r)**c2 = {c.lo[j]}")
-        xt = np.minimum(np.maximum(transformed(c.r, c.c2, x0), c.lo), c.hi)
+        xt = np.minimum(np.maximum(y_of_x(c.r, c.c2, x0), c.lo), c.hi)
         w = np.power(xt, c.p)
         return IterateState(0, xt, xt, mu0, self.inc.path_prices(mu0), x0,
                             *self.loads(xt, xt, w, w), w)
@@ -572,7 +534,7 @@ def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResid
     xt = per_item("x_tilde", x_tilde, net.n_sources)
     xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources)
     mu = per_item("mu", mu, net.n_links)
-    dutil = -c.c1 * np.exp(-c.c1 * xt) / np.expm1(-c.c1)
+    dutil = du_of_y(c.c1, xt)
     dload = c.r * _slope(c.p, xt_prev, c.p_minus_1)
     stat = dutil - dload * model.inc.path_prices(mu)
     slack = mu * (model.g_true(xt) - model.capacities)

@@ -65,7 +65,13 @@ class BudgetExceededError(ValueError):
 
 
 class InfeasibleCandidateError(ValueError):
-    """Candidate point violates constraints beyond tolerance."""
+    """Candidate point violates constraints beyond tolerance;
+    ``violations`` holds the violated constraints, as
+    :class:`~scpnum.network.Violation` records."""
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = tuple(violations)
 
 
 class DomainBoundaryError(ValueError):
@@ -466,7 +472,7 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     bounds = [(u.m, u.big_m) for u in utilities]
     rep = is_feasible(net, x_star, bounds, feas_tol)
     if not rep.ok:
-        raise InfeasibleCandidateError(f"candidate infeasible: {rep.violations}")
+        raise InfeasibleCandidateError(f"candidate infeasible: {rep.violations}", rep.violations)
 
     rng = np.random.default_rng(seed)
     base_u = total_utility(utilities, x_star)

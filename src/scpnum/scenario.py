@@ -202,7 +202,7 @@ SOLVER_FIELDS = {
 def _read(entry, path: str, table: dict) -> dict:
     """One document object as {attribute: value}, by its field table."""
     if not isinstance(entry, dict):
-        raise ScenarioValidationError(path, "expected object")
+        raise ScenarioValidationError(path, f"expected object, got {type(entry).__name__}")
     record = {}
     for key, (attr, reader, default) in table.items():
         if key in entry:
@@ -253,10 +253,7 @@ def _model_from_doc(doc: dict):
     net = _at("$", build_network, links, routes)
     utils = tuple(utilities[sid] for sid in net.source_ids)
 
-    solver_doc = doc.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise ScenarioValidationError("solver", f"expected object, got {type(solver_doc).__name__}")
-    solver = _read(solver_doc, "solver", SOLVER_FIELDS)
+    solver = _read(doc.get("solver", {}), "solver", SOLVER_FIELDS)
     # before SolverConfig, which would reject a NaN rate without its index
     misfit = start_misfit(solver["x0"], solver["mu0"], [u.m for u in utils],
                           [u.big_m for u in utils], net.n_links)

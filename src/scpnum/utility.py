@@ -6,7 +6,14 @@ allocation problem non-concave. Substituting y = (x/r)**c2 turns every
 S-curve into a strictly concave function of y; the engine works in that
 transformed space and maps back at the end.
 
-All evaluators accept scalars or numpy arrays.
+This module is the one home of the curve arithmetic. Each curve formula
+is one elementwise kernel: :func:`y_of_x`, :func:`x_of_y`,
+:func:`u_of_y` and :func:`du_of_y`. They take their parameters as
+scalars or as per-source arrays, so the scalar functions over one
+:class:`SCurveUtility` (``eval_scurve``, ``transform`` and the rest) and
+the engine, over the per-source arrays of :class:`Curves`, evaluate the
+same expressions. The scalar functions return a float for a scalar or a
+0-d array, and an array for an array.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,10 +141,63 @@ class SCurveUtility:
             raise ValueError(f"need 0 < m < big_m, got m={self.m}, big_m={self.big_m}")
 
 
+class Curves(NamedTuple):
+    """The array form of a list of :class:`SCurveUtility`: one array per
+    field, aligned with the list (the engine passes its sources in
+    ascending id order). Besides the curve parameters it holds the
+    constants the engine's kernels read: the load exponent p = 1/c2,
+    the transformed window [lo, hi],
+    log_k = log(c1*c2 / (r*(1 - exp(-c1)))), and the exponents 1 - p of
+    the rate step and p - 1 of the tangent's slope."""
+
+    r: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    p: np.ndarray
+    m: np.ndarray
+    big_m: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    log_k: np.ndarray
+    one_minus_p: np.ndarray
+    p_minus_1: np.ndarray
+
+    @classmethod
+    def of(cls, utilities) -> "Curves":
+        r, c1, c2, m, big_m = (np.fromiter(map(attrgetter(f), utilities), dtype=float)
+                               for f in ("r", "c1", "c2", "m", "big_m"))
+        log_k = np.log(c1 * c2 / (r * -np.expm1(-c1)))
+        p = 1.0 / c2
+        return cls(r, c1, c2, p, m, big_m, y_of_x(r, c2, m), y_of_x(r, c2, big_m),
+                   log_k, 1.0 - p, p - 1.0)
+
+
+def y_of_x(r, c2, x):
+    """The transform y = (x/r)**c2, elementwise."""
+    return np.power(x / r, c2)
+
+
+def x_of_y(r, p, y):
+    """Back to Kbps, x = r * y**p with p = 1/c2, elementwise; in the
+    engine, a source's true-load term."""
+    return r * np.power(y, p)
+
+
+def u_of_y(c1, y):
+    """The utility in transformed space, U(y) = (1 - exp(-c1*y)) /
+    (1 - exp(-c1)), elementwise."""
+    return np.expm1(-c1 * y) / np.expm1(-c1)
+
+
+def du_of_y(c1, y, order: int = 1):
+    """U'(y) (order 1) or U''(y) (order 2) in transformed space,
+    (-c1)**order * exp(-c1*y) / (exp(-c1) - 1), elementwise."""
+    return (-c1 if order == 1 else c1 * c1) * np.exp(-c1 * y) / np.expm1(-c1)
+
+
 def eval_scurve(u: SCurveUtility, x):
     """Utility of rate x (Kbps); U(0) = 0 and U(r) = 1."""
-    t = np.power(np.asarray(x, dtype=float) / u.r, u.c2)
-    val = np.expm1(-u.c1 * t) / np.expm1(-u.c1)
+    val = u_of_y(u.c1, y_of_x(u.r, u.c2, np.asarray(x, dtype=float)))
     return val if val.ndim else float(val)
 
 
@@ -154,7 +216,7 @@ def transform(u: SCurveUtility, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError("rate must be >= 0")
-    y = np.power(xa / u.r, u.c2)
+    y = y_of_x(u.r, u.c2, xa)
     return y if y.ndim else float(y)
 
 
@@ -169,7 +231,7 @@ def inverse_transform(u: SCurveUtility, y):
     ya = np.asarray(y, dtype=float)
     if np.any(ya < 0.0):
         raise NegativeTransformedRateError(f"transformed rate must be >= 0, got {y}")
-    x = u.r * np.power(ya, 1.0 / u.c2)
+    x = x_of_y(u.r, 1.0 / u.c2, ya)
     return x if x.ndim else float(x)
 
 
@@ -186,11 +248,7 @@ def transformed_utility(u: SCurveUtility, y):
     what makes the transformed problem concave in y.
     """
     ya = np.asarray(y, dtype=float)
-    denom = np.expm1(-u.c1)  # -(1 - exp(-c1)), negative
-    val = np.expm1(-u.c1 * ya) / denom
-    ex = np.exp(-u.c1 * ya)
-    d1 = -u.c1 * ex / denom
-    d2 = u.c1 * u.c1 * ex / denom
+    val, d1, d2 = u_of_y(u.c1, ya), du_of_y(u.c1, ya), du_of_y(u.c1, ya, 2)
     if val.ndim:
         return val, d1, d2
     return float(val), float(d1), float(d2)

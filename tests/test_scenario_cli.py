@@ -556,3 +556,43 @@ def test_cli_validate_no_feasible_grid_point(tmp_path, capsys):
     assert main(["validate", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no feasible grid point")
+
+
+@pytest.mark.parametrize("value,kind", [([], "list"), ("x", "str"), (3, "int"), (None, "NoneType")])
+@pytest.mark.parametrize("section,path", [("links", "links[0]"), ("sources", "sources[0]"),
+                                          ("solver", "solver")])
+def test_a_document_object_that_is_not_an_object(section, path, value, kind):
+    doc = json.loads(json.dumps(MINIMAL))
+    if section == "solver":
+        doc["solver"] = value
+    else:
+        doc[section][0] = value
+    with pytest.raises(ScenarioValidationError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: expected object, got {kind}"
+
+
+def test_cli_validate_reports_an_infeasible_polished_point(tmp_path, capsys):
+    # polish stops within feas_tol (0.5 Kbps) of every capacity; here its
+    # point overloads link 2 by 0.26 Kbps, beyond local_opt_test's 1e-6,
+    # and the utility still matches the oracle's
+    doc = {
+        "links": [{"id": 1, "capacity_kbps": 303.9437045903419},
+                  {"id": 2, "capacity_kbps": 299.8836869951146},
+                  {"id": 3, "capacity_kbps": 300.4033492210511}],
+        "sources": [{"id": 1, "r_kbps": 318.01126048891985, "c1": 7.230568234838982,
+                     "c2": 9.0, "route": [1, 2, 3]}],
+        "solver": {"gamma": 1e-5, "epsilon": 1e-6, "max_iter": 20000, "mu0": 0.001,
+                   "x0": [264.53587702446083]},
+    }
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "validation.txt").read_text().splitlines()
+    local = next(line for line in lines if line.startswith("local_opt_test "))
+    assert local.endswith("): passed=false infeasible_candidate=capacity 2 "
+                          "(excess 2.598e-01 Kbps)")
+    assert "utility gap (engine - oracle):  9.560870e-04  (|gap| <= 1e-3: true)" in lines
+    assert lines[-1] == "verdict: PASS (utility match)"
