@@ -31,8 +31,9 @@ be.
 
 The per-item views at the end of the module (``g_true``,
 ``update_prices`` and the rest) check that each per-source or per-link
-argument has shape (S,) or (L,) (``utility.per_item``) and that a link
-id is declared, then run the same kernels.
+argument has shape (S,) or (L,) (``utility.per_item``), that a link
+id is declared and that every expansion point is > 0
+(:func:`_expansion_points`), then run the same kernels unchecked.
 
 The iterate carries its own loads. The rate step computes
 w = x̃**p for the new rates once; r*w is both the rate in Kbps (before
@@ -42,8 +43,8 @@ therefore evaluates one power for the new rates and one for the
 tangent's slope, and the per-link g and ĝ it sums are the trace row, the
 steady test and the next price step's input alike. Every expansion
 point is a rate clipped to at least its window's floor lo, which
-:meth:`Model.initial_state` checks is > 0, so the iteration's tangent
-terms go unchecked; :func:`g_hat_terms` checks the points it is given.
+:meth:`Model.initial_state` checks is > 0, so no kernel checks its
+expansion points.
 
 :func:`solve` and :func:`scpnum.agents.run_to_convergence` are two
 schedulers over one driver loop, :func:`iterate`, which owns the
@@ -176,6 +177,11 @@ class IterateState:
     source is the first term of the next tangent. ``Model.initial_state``
     and ``Model.step`` fill them in; a state built by hand may leave
     them None.
+
+    x_tilde is the next rate step's expansion point and x_tilde_prev
+    the tangent's. A state from ``Model.initial_state`` or ``Model.step``
+    holds clipped rates, >= lo > 0; the per-item views that read a state
+    built by hand check the points they use (:func:`_expansion_points`).
     """
 
     t: int
@@ -231,27 +237,12 @@ def _slope(p, xt_prev, p_minus_1):
 
 def tangent_terms(r, p, xt, xt_prev, w_prev, p_minus_1, out=None):
     """Per-source contributions to the tangent (linearized) link load,
-    expanded at xt_prev, unchecked (see :func:`g_hat_terms`), written
-    into ``out`` if given."""
+    expanded at xt_prev, written into ``out`` if given. ``w_prev`` is
+    xt_prev**p, the load term a scheduler carried from the rate step
+    that produced xt_prev, and ``p_minus_1`` is p - 1 (:class:`Curves`
+    holds it). Unchecked: an expansion point must be > 0, which the
+    per-item views check as they read one (:func:`_expansion_points`)."""
     return np.multiply(r, w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev), out=out)
-
-
-def g_hat_terms(r, p, xt, xt_prev, w_prev, p_minus_1):
-    """Per-source contributions to the tangent (linearized) link load,
-    expanded at xt_prev. ``w_prev`` is xt_prev**p, the load term a
-    scheduler carried from the rate step that produced xt_prev, and
-    ``p_minus_1`` is p - 1 (:class:`Curves` holds it).
-
-    Raises
-    ------
-    NonPositiveExpansionPointError
-        If any expansion component is <= 0.
-    """
-    # fmin skips NaN, so a NaN entry passes as it does an elementwise test
-    if np.fmin.reduce(xt_prev, initial=np.inf) <= 0.0:
-        raise NonPositiveExpansionPointError(
-            f"expansion points must be > 0, got {np.min(xt_prev)}")
-    return tangent_terms(r, p, xt, xt_prev, w_prev, p_minus_1)
 
 
 def price_step(mu, gamma: float, capacity, ghat):
@@ -313,18 +304,15 @@ class Model:
 
     def g_hat(self, x_tilde, x_tilde_prev) -> np.ndarray:
         c = self.curves
-        # a negative expansion point is g_hat_terms' error, not a NaN warning
-        with np.errstate(invalid="ignore"):
-            w_prev = np.power(x_tilde_prev, c.p)
-        return self.inc.link_sums(g_hat_terms(c.r, c.p, x_tilde, x_tilde_prev, w_prev,
-                                              c.p_minus_1))
+        return self.inc.link_sums(tangent_terms(c.r, c.p, x_tilde, x_tilde_prev,
+                                                np.power(x_tilde_prev, c.p), c.p_minus_1))
 
     def loads(self, x_tilde, x_tilde_prev, w, w_prev) -> tuple:
         """Per-link (g, ĝ), the rows of one (2, L) array of sums, at
         (x_tilde, x_tilde_prev) from the per-source w = x_tilde**p and
-        w_prev = x_tilde_prev**p. Every x_tilde_prev a scheduler passes
-        is a clipped rate, >= lo > 0 (:meth:`initial_state` checks lo),
-        so the tangent terms go unchecked."""
+        w_prev = x_tilde_prev**p. Unchecked: every x_tilde_prev a
+        scheduler passes is a clipped rate, >= lo > 0
+        (:meth:`initial_state` checks lo)."""
         c = self.curves
         block = np.empty((2, self.n_sources))
         np.multiply(c.r, w, out=block[0])
@@ -451,10 +439,34 @@ def polish(net: Network, utilities, res: AllocationResult,
 # ---------------------------------------------------------------------------
 # per-item views over the kernels
 
+def _expansion_points(name: str, values, n_sources: int) -> np.ndarray:
+    """The one check of an expansion point: ``values`` read by
+    ``utility.per_item`` as shape (S,), each entry > 0, where the tangent
+    and the rate step's log are defined. A NaN entry passes.
+
+    Raises
+    ------
+    NonPositiveExpansionPointError
+        On the first entry <= 0, naming the argument, its index and value.
+    """
+    xt = per_item(name, values, n_sources)
+    # fmin skips NaN, so a NaN entry passes as it does an elementwise test
+    if np.fmin.reduce(xt, initial=np.inf) <= 0.0:
+        j = np.flatnonzero(xt <= 0.0)[0]
+        raise NonPositiveExpansionPointError(f"expansion point {name}[{j}] = {xt[j]} is not > 0")
+    return xt
+
+
 def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float]:
-    """The rate kernel for one source. Returns (new transformed rate,
-    new rate in Kbps)."""
-    xt, x, _ = rates(Curves.of((u,)), np.array([xt_cur], dtype=float),
+    """The rate kernel for one source, expanded at ``xt_cur``. Returns
+    (new transformed rate, new rate in Kbps).
+
+    Raises
+    ------
+    NonPositiveExpansionPointError
+        If xt_cur is <= 0.
+    """
+    xt, x, _ = rates(Curves.of((u,)), _expansion_points("xt_cur", [xt_cur], 1),
                      np.array([rho], dtype=float))
     return float(xt[0]), float(x[0])
 
@@ -475,21 +487,22 @@ def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float
     Raises
     ------
     NonPositiveExpansionPointError
-        If any expansion component is <= 0.
+        If any entry of x_tilde_prev is <= 0.
     """
     i = net.link_position(link_id)
     xt = per_item("x_tilde", x_tilde, net.n_sources)
-    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources)
+    xt_prev = _expansion_points("x_tilde_prev", x_tilde_prev, net.n_sources)
     return float(Model(net, utilities).g_hat(xt, xt_prev)[i])
 
 
 def update_prices(net: Network, utilities, state: IterateState, gamma: float) -> np.ndarray:
     """One projected-gradient step on every link price, against the
-    tangent load at (x̃ current, x̃ previous)."""
+    tangent load at (x̃ current, x̃ previous); NonPositiveExpansionPointError
+    if an entry of state.x_tilde_prev is <= 0."""
     model = Model(net, utilities)
     mu = per_item("state.mu", state.mu, net.n_links)
     xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
-    xt_prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
+    xt_prev = _expansion_points("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
     return price_step(mu, gamma, model.capacities, model.g_hat(xt, xt_prev))
 
 
@@ -502,11 +515,14 @@ def update_rates(net: Network, utilities, state: IterateState):
     """Closed-form rate update for every source against state.mu.
 
     Returns (x_tilde, x, rho) arrays. x_tilde is clamped into each
-    source's transformed window, so x is always within [m, M].
+    source's transformed window, so x is always within [m, M]. The
+    expansion points are state.x_tilde: NonPositiveExpansionPointError
+    if an entry is <= 0.
     """
     model = Model(net, utilities)
     rho = model.inc.path_prices(per_item("state.mu", state.mu, net.n_links))
-    xt, x, _ = rates(model.curves, per_item("state.x_tilde", state.x_tilde, net.n_sources), rho)
+    xt = _expansion_points("state.x_tilde", state.x_tilde, net.n_sources)
+    xt, x, _ = rates(model.curves, xt, rho)
     return xt, x, rho
 
 
@@ -528,11 +544,13 @@ class KKTResidual:
 
 
 def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResidual:
-    """Stationarity and complementary-slackness residuals."""
+    """Stationarity and complementary-slackness residuals, the tangent's
+    slope taken at x_tilde_prev; NonPositiveExpansionPointError if an
+    entry of x_tilde_prev is <= 0."""
     model = Model(net, utilities)
     c = model.curves
     xt = per_item("x_tilde", x_tilde, net.n_sources)
-    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources)
+    xt_prev = _expansion_points("x_tilde_prev", x_tilde_prev, net.n_sources)
     mu = per_item("mu", mu, net.n_links)
     dutil = du_of_y(c.c1, xt)
     dload = c.r * _slope(c.p, xt_prev, c.p_minus_1)
@@ -543,8 +561,10 @@ def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResid
 
 def steady_state_check(net: Network, utilities, state: IterateState, tol: float) -> bool:
     """True when the tangent and true loads agree within tol on every
-    link and no true load exceeds capacity by more than tol."""
+    link and no true load exceeds capacity by more than tol;
+    NonPositiveExpansionPointError if an entry of state.x_tilde_prev is
+    <= 0."""
     model = Model(net, utilities)
     xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
-    xt_prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
+    xt_prev = _expansion_points("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
     return steady(model.g_true(xt), model.g_hat(xt, xt_prev), model.capacities, tol)

@@ -438,13 +438,13 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     any survivor improves aggregate utility by more than improvement_tol.
 
     All samples are drawn by one ``rng.uniform`` call of shape
-    (samples, S), which is the stream of one call per sample. Rate
-    windows and link loads are checked, and utilities summed, one source
-    column at a time in ascending source id order from 0.0: the order in
-    which ``is_feasible``'s link sums add each link's rates, and in
-    which ``total_utility`` adds the utilities. So the report equals a
-    sample-by-sample loop's. The best point is the first sample with
-    the largest positive gain.
+    (samples, S), which is the stream of one call per sample. The clip
+    keeps each sample inside its rate windows. Link loads are checked,
+    and utilities summed, one source column at a time in ascending
+    source id order from 0.0: the order in which ``is_feasible``'s link
+    sums add each link's rates, and in which ``total_utility`` adds the
+    utilities. So the report equals a sample-by-sample loop's. The best
+    point is the first sample with the largest positive gain.
 
     A report passes only if some sample is feasible and none improves
     by more than improvement_tol: without a feasible sample there is no
@@ -480,7 +480,8 @@ def local_opt_test(net: Network, utilities, x_star, radius: float = 2.0,
     hi = np.array([b[1] for b in bounds])
     cand = np.clip(x_star + rng.uniform(-radius, radius, size=(samples, x_star.size)), lo, hi)
     cols = np.ascontiguousarray(cand.T)  # one row of samples per source
-    ok = ((cols >= lo[:, None] - feas_tol) & (cols <= hi[:, None] + feas_tol)).all(axis=0)
+    # the clip keeps every sample inside its window, so only links can fail
+    ok = np.ones(samples, dtype=bool)
     for on, cap in zip(net.sources_on_link, net.capacities):
         ok &= sum((cols[net.source_index[sid]] for sid in on), 0.0) <= cap + feas_tol
     gains = sum((eval_scurve(u, c) for u, c in zip(utilities, cols)), 0.0) - base_u

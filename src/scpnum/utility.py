@@ -196,8 +196,9 @@ def du_of_y(c1, y, order: int = 1):
 
 
 def eval_scurve(u: SCurveUtility, x):
-    """Utility of rate x (Kbps); U(0) = 0 and U(r) = 1."""
-    val = u_of_y(u.c1, y_of_x(u.r, u.c2, np.asarray(x, dtype=float)))
+    """Utility of rate x (Kbps); U(0) = 0 and U(r) = 1. The rate goes
+    through :func:`transform`, so a negative one raises its ValueError."""
+    val = u_of_y(u.c1, transform(u, x))
     return val if val.ndim else float(val)
 
 
@@ -212,9 +213,12 @@ def inflection_point(u: SCurveUtility) -> float:
 
 
 def transform(u: SCurveUtility, x):
-    """Concavifying change of variable y = (x/r)**c2; requires x >= 0."""
+    """Concavifying change of variable y = (x/r)**c2. The one check of a
+    rate: ValueError("rate must be >= 0") if an entry of x is negative;
+    a NaN entry passes."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
+    # fmin skips NaN, so a NaN entry passes as it does an elementwise test
+    if np.fmin.reduce(xa, axis=None, initial=np.inf) < 0.0:
         raise ValueError("rate must be >= 0")
     y = y_of_x(u.r, u.c2, xa)
     return y if y.ndim else float(y)

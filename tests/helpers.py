@@ -9,6 +9,8 @@ other way round.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from scpnum import (
@@ -17,17 +19,24 @@ from scpnum import (
     SCurveUtility,
     SolverConfig,
     build_network,
+    eval_scurve,
+    g_hat,
     g_true,
     grid_search,
     inflection_point,
+    kkt_residual,
     local_opt_test,
     polish,
     run_to_convergence,
     solve,
+    steady_state_check,
     total_utility,
+    transform,
+    update_prices,
+    update_rates,
     Violation,
 )
-from scpnum.engine import RHO_FLOOR, IterateState, NonPositiveExpansionPointError
+from scpnum.engine import RHO_FLOOR, IterateState, NonPositiveExpansionPointError, rate_step
 
 REFERENCE_RATES = (117.9658, 191.1745, 219.3638, 232.2520, 239.2439)
 REFERENCE_UTILITY = 4.372301
@@ -219,3 +228,44 @@ def reference_is_feasible(net, x, bounds, tol: float = 0.0):
         if not load <= net.capacities[i] + tol:
             violations.append(Violation("capacity", lid, load - net.capacities[i]))
     return FeasibilityReport(not violations, tuple(violations))
+
+
+def domain_entries() -> dict:
+    """Every entry point that applies one of the two input rules, as
+    {name: (argument, rule, call)}; ``call(v)`` runs the entry point on
+    one source (r = 256, c2 = 2) on one link, with the checked argument
+    set to v and every other argument valid. DOMAIN_RULES gives each
+    rule's exception, the half-width of the range its argument spans and
+    the values it rejects."""
+    net = build_network([(1, 1000.0)], [(1, (1,))])
+    u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
+    us = (u,)
+    state = IterateState(0, np.array([0.5]), np.array([0.5]), np.array([0.01]),
+                         np.array([0.01]), np.array([181.0]))
+
+    def at(**kw):
+        return replace(state, **{k: np.array([v]) for k, v in kw.items()})
+
+    return {
+        "g_hat": ("x_tilde_prev", "expansion", lambda v: g_hat(net, us, [0.5], [v], 1)),
+        "update_prices": ("state.x_tilde_prev", "expansion",
+                          lambda v: update_prices(net, us, at(x_tilde_prev=v), 1e-4)),
+        "steady_state_check": ("state.x_tilde_prev", "expansion",
+                               lambda v: steady_state_check(net, us, at(x_tilde_prev=v), 0.5)),
+        "kkt_residual": ("x_tilde_prev", "expansion",
+                         lambda v: kkt_residual(net, us, [0.5], [v], [0.01])),
+        "update_rates": ("state.x_tilde", "expansion",
+                         lambda v: update_rates(net, us, at(x_tilde=v))),
+        "rate_step": ("xt_cur", "expansion", lambda v: rate_step(u, v, 0.004)),
+        "transform": ("rate", "rate", lambda v: transform(u, v)),
+        "eval_scurve": ("rate", "rate", lambda v: eval_scurve(u, v)),
+        "total_utility": ("rate", "rate", lambda v: total_utility(us, [v])),
+    }
+
+
+# rule: (exception, half-width of the argument's range, rejected values);
+# an expansion point is a transformed rate, and a rate spans +-2*r
+DOMAIN_RULES = {
+    "expansion": (NonPositiveExpansionPointError, 2.0, (0.0, -0.25)),
+    "rate": (ValueError, 512.0, (-1.0,)),
+}

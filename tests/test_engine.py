@@ -29,7 +29,7 @@ from scpnum import (
     update_prices,
     update_rates,
 )
-from scpnum.engine import Curves, g_hat_terms, g_terms, price_step, rate_step
+from scpnum.engine import Curves, g_terms, price_step, rate_step, tangent_terms
 
 
 def single_link_model():
@@ -50,7 +50,7 @@ def test_price_step_projects_at_zero():
 def load_terms(r, c2, y, yp):
     """One source's (true, tangent) load terms at y, the tangent expanded at yp."""
     r, p, y, yp = (np.array([v]) for v in (r, 1.0 / c2, y, yp))
-    return g_terms(r, p, y)[0], g_hat_terms(r, p, y, yp, np.power(yp, p), p - 1.0)[0]
+    return g_terms(r, p, y)[0], tangent_terms(r, p, y, yp, np.power(yp, p), p - 1.0)[0]
 
 
 def test_link_load_terms_hand_values():
@@ -97,14 +97,17 @@ def test_rate_floor_that_underflows_is_rejected(scheduler):
         SCHEDULERS[scheduler](net, utilities, SolverConfig(gamma=1e-4, mu0=0.01))
 
 
-def test_g_hat_terms_expansion_check_on_nan():
+def test_g_hat_expansion_check_on_nan():
     # an elementwise test: a NaN entry passes it, and a nonpositive entry
-    # beside a NaN still fails it
+    # beside a NaN still fails it, named by its index and value
+    net = build_network([(1, 1000.0)], [(1, (1,)), (2, (1,))])
+    utilities = (SCurveUtility(r=256.0, c1=6.0, c2=1.0),) * 2
     one = np.ones(2)
-    assert np.isnan(g_hat_terms(one, one, one, np.array([np.nan, 0.5]), one, one)[0])
-    for bad in ([np.nan, -0.25], [0.0, np.nan]):
-        with pytest.raises(NonPositiveExpansionPointError):
-            g_hat_terms(one, one, one, np.array(bad), one, one)
+    assert np.isnan(g_hat(net, utilities, one, np.array([np.nan, 0.5]), 1))
+    for bad, named in (([np.nan, -0.25], "x_tilde_prev[1] = -0.25"),
+                       ([0.0, np.nan], "x_tilde_prev[0] = 0.0")):
+        with pytest.raises(NonPositiveExpansionPointError, match=re.escape(named)):
+            g_hat(net, utilities, one, np.array(bad), 1)
 
 
 def test_rate_step_interior_stationarity():

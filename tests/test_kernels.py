@@ -18,7 +18,8 @@ from scpnum import (
     run_to_convergence,
     solve,
 )
-from scpnum.engine import RHO_FLOOR, Curves, IterateState, Model, g_hat_terms, g_terms, rates
+from scpnum.engine import (RHO_FLOOR, Curves, IterateState, Model, g_terms, rates,
+                           tangent_terms)
 from scpnum.network import sums
 
 KERNEL_SEED = 20261017
@@ -75,7 +76,7 @@ def test_rate_and_load_kernels_are_slice_invariant():
     rho[::50] = 0.0  # vanishing path price: the saturating branch
     full_rates = rates(c, xt, rho)
     full_g = g_terms(c.r, c.p, xt)
-    full_gh = g_hat_terms(c.r, c.p, xt, xp, np.power(xp, c.p), c.p_minus_1)
+    full_gh = tangent_terms(c.r, c.p, xt, xp, np.power(xp, c.p), c.p_minus_1)
     for j in range(n):
         s = slice(j, j + 1)
         cj = Curves._make(a[s] for a in c)
@@ -83,8 +84,8 @@ def test_rate_and_load_kernels_are_slice_invariant():
         assert xt_j[0] == full_rates[0][j] and x_j[0] == full_rates[1][j], j
         assert w_j[0] == full_rates[2][j], j
         assert g_terms(cj.r, cj.p, xt[s])[0] == full_g[j], j
-        assert g_hat_terms(cj.r, cj.p, xt[s], xp[s], np.power(xp[s], cj.p),
-                           cj.p_minus_1)[0] == full_gh[j], j
+        assert tangent_terms(cj.r, cj.p, xt[s], xp[s], np.power(xp[s], cj.p),
+                             cj.p_minus_1)[0] == full_gh[j], j
 
 
 def test_sums_add_left_to_right():

@@ -1,6 +1,8 @@
 """Property tests: a number that is not a finite number is rejected at the
-boundary, by the scenario parser and by the validating constructors; and
-any valid scenario document survives a write and a reload."""
+boundary, by the scenario parser and by the validating constructors; an
+entry point that applies an input rule either returns or raises the
+rule's exception; and any valid scenario document survives a write and a
+reload."""
 
 import contextlib
 import json
@@ -20,6 +22,7 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: E402,F401
 
+from helpers import DOMAIN_RULES, domain_entries  # noqa: E402
 from scpnum import (  # noqa: E402
     BUILT_IN_SCENARIOS,
     SCurveUtility,
@@ -111,6 +114,21 @@ def test_solver_config_rejects_every_nonfinite_field(data, value, field, n):
         params[field] = value
     with pytest.raises(ValueError):
         SolverConfig(**params)
+
+
+DOMAIN_ENTRIES = domain_entries()
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_ENTRIES))
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_entry_point_returns_or_raises_its_rule(data, name):
+    # only the checked argument varies; a RuntimeWarning is an error
+    _, rule, call = DOMAIN_ENTRIES[name]
+    error, bound, _ = DOMAIN_RULES[rule]
+    value = data.draw(st.floats(-bound, bound), label="value")
+    with contextlib.suppress(error):
+        call(value)
 
 
 def optional(draw, doc: dict, key: str, strategy):
