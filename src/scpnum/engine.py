@@ -30,10 +30,13 @@ two rows of one (2, S) block, summed as a sum of each row alone would
 be.
 
 The per-item views at the end of the module (``g_true``,
-``update_prices`` and the rest) check that each per-source or per-link
-argument has shape (S,) or (L,) (``utility.per_item``), that a link
-id is declared and that every expansion point is > 0
-(:func:`_expansion_points`), then run the same kernels unchecked.
+``update_prices`` and the rest) read every per-source or per-link
+argument through ``utility.per_item``, which checks its shape, (S,) or
+(L,), and its value rule: an expansion point is > 0
+(:data:`EXPANSION_POINT`), any other transformed rate >= 0
+(``utility.TRANSFORMED_RATE``) and a link or path price >= 0
+(:data:`PRICE`). They check that a link id is declared, then run the
+same kernels unchecked.
 
 The iterate carries its own loads. The rate step computes
 w = x̃**p for the new rates once; r*w is both the rate in Kbps (before
@@ -64,8 +67,8 @@ import numpy as np
 
 from .network import Network
 # g_terms: a source's true-load term, its rate before the clip, r * x_tilde**p
-from .utility import (Curves, SCurveUtility, du_of_y, finite_real, finite_reals, integer,
-                      per_item, x_of_y as g_terms, y_of_x)
+from .utility import (TRANSFORMED_RATE, Curves, SCurveUtility, du_of_y, finite_real,
+                      finite_reals, integer, per_item, x_of_y as g_terms, y_of_x)
 
 __all__ = [
     "SolverConfig",
@@ -95,6 +98,12 @@ RHO_FLOOR = 1e-12
 
 class NonPositiveExpansionPointError(ValueError):
     """Tangent expansion point must be strictly positive."""
+
+
+# the value rules of utility.per_item beside TRANSFORMED_RATE: an
+# expansion point is > 0 and a link price, kept by the price step, >= 0
+EXPANSION_POINT = (NonPositiveExpansionPointError, "expansion point", True)
+PRICE = (ValueError, "price", False)
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,8 @@ class IterateState:
     x_tilde is the next rate step's expansion point and x_tilde_prev
     the tangent's. A state from ``Model.initial_state`` or ``Model.step``
     holds clipped rates, >= lo > 0; the per-item views that read a state
-    built by hand check the points they use (:func:`_expansion_points`).
+    built by hand check the points they use (``utility.per_item`` under
+    :data:`EXPANSION_POINT`).
     """
 
     t: int
@@ -241,7 +251,7 @@ def tangent_terms(r, p, xt, xt_prev, w_prev, p_minus_1, out=None):
     xt_prev**p, the load term a scheduler carried from the rate step
     that produced xt_prev, and ``p_minus_1`` is p - 1 (:class:`Curves`
     holds it). Unchecked: an expansion point must be > 0, which the
-    per-item views check as they read one (:func:`_expansion_points`)."""
+    per-item views check as they read one (:data:`EXPANSION_POINT`)."""
     return np.multiply(r, w_prev + _slope(p, xt_prev, p_minus_1) * (xt - xt_prev), out=out)
 
 
@@ -439,24 +449,6 @@ def polish(net: Network, utilities, res: AllocationResult,
 # ---------------------------------------------------------------------------
 # per-item views over the kernels
 
-def _expansion_points(name: str, values, n_sources: int) -> np.ndarray:
-    """The one check of an expansion point: ``values`` read by
-    ``utility.per_item`` as shape (S,), each entry > 0, where the tangent
-    and the rate step's log are defined. A NaN entry passes.
-
-    Raises
-    ------
-    NonPositiveExpansionPointError
-        On the first entry <= 0, naming the argument, its index and value.
-    """
-    xt = per_item(name, values, n_sources)
-    # fmin skips NaN, so a NaN entry passes as it does an elementwise test
-    if np.fmin.reduce(xt, initial=np.inf) <= 0.0:
-        j = np.flatnonzero(xt <= 0.0)[0]
-        raise NonPositiveExpansionPointError(f"expansion point {name}[{j}] = {xt[j]} is not > 0")
-    return xt
-
-
 def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float]:
     """The rate kernel for one source, expanded at ``xt_cur``. Returns
     (new transformed rate, new rate in Kbps).
@@ -465,16 +457,18 @@ def rate_step(u: SCurveUtility, xt_cur: float, rho: float) -> tuple[float, float
     ------
     NonPositiveExpansionPointError
         If xt_cur is <= 0.
+    ValueError
+        If rho, the path price, is < 0.
     """
-    xt, x, _ = rates(Curves.of((u,)), _expansion_points("xt_cur", [xt_cur], 1),
-                     np.array([rho], dtype=float))
+    xt, x, _ = rates(Curves.of((u,)), per_item("xt_cur", [xt_cur], 1, rule=EXPANSION_POINT),
+                     per_item("rho", [rho], 1, rule=PRICE))
     return float(xt[0]), float(x[0])
 
 
 def g_true(net: Network, utilities, x_tilde, link_id: int) -> float:
     """True link load in Kbps as a function of transformed rates."""
-    i = net.link_position(link_id)
-    return float(Model(net, utilities).g_true(per_item("x_tilde", x_tilde, net.n_sources))[i])
+    xt = per_item("x_tilde", x_tilde, net.n_sources, rule=TRANSFORMED_RATE)
+    return float(Model(net, utilities).g_true(xt)[net.link_position(link_id)])
 
 
 def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float:
@@ -489,10 +483,9 @@ def g_hat(net: Network, utilities, x_tilde, x_tilde_prev, link_id: int) -> float
     NonPositiveExpansionPointError
         If any entry of x_tilde_prev is <= 0.
     """
-    i = net.link_position(link_id)
-    xt = per_item("x_tilde", x_tilde, net.n_sources)
-    xt_prev = _expansion_points("x_tilde_prev", x_tilde_prev, net.n_sources)
-    return float(Model(net, utilities).g_hat(xt, xt_prev)[i])
+    xt = per_item("x_tilde", x_tilde, net.n_sources, rule=TRANSFORMED_RATE)
+    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources, rule=EXPANSION_POINT)
+    return float(Model(net, utilities).g_hat(xt, xt_prev)[net.link_position(link_id)])
 
 
 def update_prices(net: Network, utilities, state: IterateState, gamma: float) -> np.ndarray:
@@ -500,15 +493,15 @@ def update_prices(net: Network, utilities, state: IterateState, gamma: float) ->
     tangent load at (x̃ current, x̃ previous); NonPositiveExpansionPointError
     if an entry of state.x_tilde_prev is <= 0."""
     model = Model(net, utilities)
-    mu = per_item("state.mu", state.mu, net.n_links)
-    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
-    xt_prev = _expansion_points("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
-    return price_step(mu, gamma, model.capacities, model.g_hat(xt, xt_prev))
+    mu = per_item("state.mu", state.mu, net.n_links, rule=PRICE)
+    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources, rule=TRANSFORMED_RATE)
+    prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources, rule=EXPANSION_POINT)
+    return price_step(mu, gamma, model.capacities, model.g_hat(xt, prev))
 
 
 def path_prices(net: Network, mu) -> np.ndarray:
     """Per-source sum of link prices along the route, ascending link id."""
-    return net.incidence.path_prices(per_item("mu", mu, net.n_links))
+    return net.incidence.path_prices(per_item("mu", mu, net.n_links, rule=PRICE))
 
 
 def update_rates(net: Network, utilities, state: IterateState):
@@ -520,8 +513,8 @@ def update_rates(net: Network, utilities, state: IterateState):
     if an entry is <= 0.
     """
     model = Model(net, utilities)
-    rho = model.inc.path_prices(per_item("state.mu", state.mu, net.n_links))
-    xt = _expansion_points("state.x_tilde", state.x_tilde, net.n_sources)
+    rho = model.inc.path_prices(per_item("state.mu", state.mu, net.n_links, rule=PRICE))
+    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources, rule=EXPANSION_POINT)
     xt, x, _ = rates(model.curves, xt, rho)
     return xt, x, rho
 
@@ -549,9 +542,9 @@ def kkt_residual(net: Network, utilities, x_tilde, x_tilde_prev, mu) -> KKTResid
     entry of x_tilde_prev is <= 0."""
     model = Model(net, utilities)
     c = model.curves
-    xt = per_item("x_tilde", x_tilde, net.n_sources)
-    xt_prev = _expansion_points("x_tilde_prev", x_tilde_prev, net.n_sources)
-    mu = per_item("mu", mu, net.n_links)
+    xt = per_item("x_tilde", x_tilde, net.n_sources, rule=TRANSFORMED_RATE)
+    xt_prev = per_item("x_tilde_prev", x_tilde_prev, net.n_sources, rule=EXPANSION_POINT)
+    mu = per_item("mu", mu, net.n_links, rule=PRICE)
     dutil = du_of_y(c.c1, xt)
     dload = c.r * _slope(c.p, xt_prev, c.p_minus_1)
     stat = dutil - dload * model.inc.path_prices(mu)
@@ -565,6 +558,6 @@ def steady_state_check(net: Network, utilities, state: IterateState, tol: float)
     NonPositiveExpansionPointError if an entry of state.x_tilde_prev is
     <= 0."""
     model = Model(net, utilities)
-    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources)
-    xt_prev = _expansion_points("state.x_tilde_prev", state.x_tilde_prev, net.n_sources)
-    return steady(model.g_true(xt), model.g_hat(xt, xt_prev), model.capacities, tol)
+    xt = per_item("state.x_tilde", state.x_tilde, net.n_sources, rule=TRANSFORMED_RATE)
+    prev = per_item("state.x_tilde_prev", state.x_tilde_prev, net.n_sources, rule=EXPANSION_POINT)
+    return steady(model.g_true(xt), model.g_hat(xt, prev), model.capacities, tol)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, le, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,11 @@ __all__ = [
 
 class NegativeTransformedRateError(ValueError):
     """Transformed rate must be non-negative to map back to Kbps."""
+
+
+# a value rule of per_item: (exception, what the value is, strict), where
+# strict asks for > 0 and otherwise >= 0
+TRANSFORMED_RATE = (NegativeTransformedRateError, "transformed rate", False)
 
 
 def finite_real(name: str, value, index: int | None = None,
@@ -87,13 +92,19 @@ def integer(name: str, value, ge: int | None = None) -> int:
     return value
 
 
-def per_item(name: str, values, *shape: int) -> np.ndarray:
-    """The one check of a per-source or per-link array argument:
+def per_item(name: str, values, *shape: int, rule: tuple | None = None) -> np.ndarray:
+    """The one reader of a per-source or per-link array argument:
     ``values`` as a float array of exactly ``shape``, such as (S,) or
     (L,), from integers or floats, Python or numpy. A mis-sized argument,
     or one that holds a bool, None, a str, bytes or a complex number,
-    raises ValueError naming it. The values are not checked, so a NaN or
-    an inf passes."""
+    raises ValueError naming it.
+
+    With a value ``rule``, a row (exception, what the value is, strict)
+    such as :data:`TRANSFORMED_RATE`, every entry must also be > 0
+    (strict) or >= 0; the first one that is not raises the rule's
+    exception, naming the argument, the entry's index and its value, as
+    in ``expansion point x_tilde_prev[1] = -0.25 is not > 0``. A NaN
+    passes every rule, as does an inf of the allowed sign."""
     try:
         a = np.asarray(values)
     except (TypeError, ValueError) as exc:
@@ -102,7 +113,16 @@ def per_item(name: str, values, *shape: int) -> np.ndarray:
         raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    return a.astype(float, copy=False)
+    a = a.astype(float, copy=False)
+    if rule is not None:
+        error, what, strict = rule
+        bad = le if strict else lt
+        # fmin skips NaN, so a NaN entry passes as it does the elementwise test
+        if bad(np.fmin.reduce(a, axis=None, initial=np.inf), 0.0):
+            at = tuple(np.argwhere(bad(a, 0.0))[0])
+            label = f"{name}[{', '.join(map(str, at))}]" if at else name
+            raise error(f"{what} {label} = {a[at]} is not {'>' if strict else '>='} 0")
+    return a
 
 
 @dataclass(frozen=True)
@@ -225,16 +245,15 @@ def transform(u: SCurveUtility, x):
 
 
 def inverse_transform(u: SCurveUtility, y):
-    """Back to Kbps: x = r * y**(1/c2).
+    """Back to Kbps: x = r * y**(1/c2). ``y``, a real number or an array
+    of them, is read by :func:`per_item` under the transformed-rate rule.
 
     Raises
     ------
     NegativeTransformedRateError
-        If any component of y is negative.
+        If an entry of y is negative, naming its index and value.
     """
-    ya = np.asarray(y, dtype=float)
-    if np.any(ya < 0.0):
-        raise NegativeTransformedRateError(f"transformed rate must be >= 0, got {y}")
+    ya = per_item("y", y, *np.shape(y), rule=TRANSFORMED_RATE)
     x = x_of_y(u.r, 1.0 / u.c2, ya)
     return x if x.ndim else float(x)
 

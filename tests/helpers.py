@@ -16,6 +16,7 @@ import numpy as np
 from scpnum import (
     FeasibilityReport,
     GridSpec,
+    NegativeTransformedRateError,
     SCurveUtility,
     SolverConfig,
     build_network,
@@ -26,6 +27,7 @@ from scpnum import (
     inflection_point,
     kkt_residual,
     local_opt_test,
+    path_prices,
     polish,
     run_to_convergence,
     solve,
@@ -231,12 +233,14 @@ def reference_is_feasible(net, x, bounds, tol: float = 0.0):
 
 
 def domain_entries() -> dict:
-    """Every entry point that applies one of the two input rules, as
-    {name: (argument, rule, call)}; ``call(v)`` runs the entry point on
-    one source (r = 256, c2 = 2) on one link, with the checked argument
-    set to v and every other argument valid. DOMAIN_RULES gives each
-    rule's exception, the half-width of the range its argument spans and
-    the values it rejects."""
+    """Every (entry point, argument) that applies one of the input
+    rules, as {name: (argument, rule, call)}; ``call(v)`` runs the entry
+    point on one source (r = 256, c2 = 2) on one link, with the checked
+    argument set to v and every other argument valid. An entry of the
+    expansion-point or rate rule is named by its entry point, one of the
+    transformed-rate or price rule by ``<entry point>:<argument>``.
+    DOMAIN_RULES gives each rule's exception, the half-width of the range
+    its argument spans and the values it rejects."""
     net = build_network([(1, 1000.0)], [(1, (1,))])
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
     us = (u,)
@@ -260,6 +264,21 @@ def domain_entries() -> dict:
         "transform": ("rate", "rate", lambda v: transform(u, v)),
         "eval_scurve": ("rate", "rate", lambda v: eval_scurve(u, v)),
         "total_utility": ("rate", "rate", lambda v: total_utility(us, [v])),
+        "g_true:x_tilde": ("x_tilde", "transformed", lambda v: g_true(net, us, [v], 1)),
+        "g_hat:x_tilde": ("x_tilde", "transformed", lambda v: g_hat(net, us, [v], [0.5], 1)),
+        "steady_state_check:state.x_tilde": (
+            "state.x_tilde", "transformed",
+            lambda v: steady_state_check(net, us, at(x_tilde=v), 0.5)),
+        "update_prices:state.x_tilde": ("state.x_tilde", "transformed",
+                                        lambda v: update_prices(net, us, at(x_tilde=v), 1e-4)),
+        "update_prices:state.mu": ("state.mu", "price",
+                                   lambda v: update_prices(net, us, at(mu=v), 1e-4)),
+        "update_rates:state.mu": ("state.mu", "price", lambda v: update_rates(net, us, at(mu=v))),
+        "path_prices:mu": ("mu", "price", lambda v: path_prices(net, [v])),
+        "kkt_residual:x_tilde": ("x_tilde", "transformed",
+                                 lambda v: kkt_residual(net, us, [v], [0.5], [0.01])),
+        "kkt_residual:mu": ("mu", "price", lambda v: kkt_residual(net, us, [0.5], [0.5], [v])),
+        "rate_step:rho": ("rho", "price", lambda v: rate_step(u, 0.5, v)),
     }
 
 
@@ -268,4 +287,6 @@ def domain_entries() -> dict:
 DOMAIN_RULES = {
     "expansion": (NonPositiveExpansionPointError, 2.0, (0.0, -0.25)),
     "rate": (ValueError, 512.0, (-1.0,)),
+    "transformed": (NegativeTransformedRateError, 2.0, (-0.1,)),
+    "price": (ValueError, 1.0, (-5.0,)),
 }

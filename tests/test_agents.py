@@ -198,6 +198,12 @@ def test_locality_audit_of_a_log_matches_the_row_by_row_audit():
     assert {(m.sender, m.receiver) for m in stray} == {(2, 3)}
 
 
+def test_run_to_convergence_defaults_its_config():
+    net, utilities, _ = load_scenario("single-source")
+    res, _ = run_to_convergence(net, utilities)
+    assert_traces_identical(solve(net, utilities, SolverConfig()), res)
+
+
 def test_huge_tolerance_stops_after_first_round():
     # a source already saturated on an uncongested link is a fixed
     # point, so the loosest possible tolerance stops in one round

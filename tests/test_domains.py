@@ -1,8 +1,10 @@
-"""The two input rules, each checked where input enters: an expansion
-point must be > 0 (``engine._expansion_points``) and a rate must be >= 0
-(``utility.transform``). Every entry point that applies a rule rejects a
-value outside its domain with the rule's exception, naming the argument,
-and lets a NaN through, with no RuntimeWarning (warnings are errors)."""
+"""The input rules, each checked where input enters: a rate must be >= 0
+(``utility.transform``), and ``utility.per_item`` reads a view's
+argument under its value rule, an expansion point > 0, any other
+transformed rate >= 0 and a link or path price >= 0. Every entry point
+that applies a rule rejects a value outside its domain with the rule's
+exception, naming the argument, and lets a NaN through, with no
+RuntimeWarning (warnings are errors)."""
 
 import math
 import re

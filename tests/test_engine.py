@@ -139,6 +139,15 @@ def test_rate_step_clamps_to_minimum_on_huge_price():
     assert x_new == 10.0
 
 
+@pytest.mark.parametrize("rho", ["0.004", True, None, 0.004 + 0j])
+def test_rate_step_rejects_a_path_price_that_is_not_a_real_number(rho):
+    # as it rejects the same values for xt_cur, rather than reading them
+    # as 0.004 or 1.0
+    u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
+    with pytest.raises(ValueError, match=r"^rho must hold real numbers"):
+        rate_step(u, 0.5, rho)
+
+
 def test_path_prices_sum_along_routes():
     net = build_network([(1, 10.0), (2, 10.0), (3, 10.0)],
                         [(1, (1, 2, 3)), (2, (2,))])
@@ -340,6 +349,19 @@ def test_solver_config_takes_python_and_numpy_integers(max_iter):
     net, utilities, config = load_scenario("chain-3")
     res = solve(net, utilities, replace(config, max_iter=max_iter))
     assert res.stop_reason == "max_iter" and len(res.trace) == 4
+
+
+def test_solve_defaults_its_config():
+    net, utilities = single_link_model()
+    res, expected = solve(net, utilities), solve(net, utilities, SolverConfig())
+    assert res.iterations == expected.iterations
+    assert np.array_equal(res.x, expected.x) and np.array_equal(res.mu, expected.mu)
+
+
+def test_solve_rejects_the_wrong_number_of_utilities():
+    net, utilities = single_link_model()
+    with pytest.raises(ValueError, match=r"^2 utilities for 1 sources$"):
+        solve(net, utilities * 2)
 
 
 def test_solve_validates_state_shapes():

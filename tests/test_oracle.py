@@ -17,6 +17,7 @@ from scpnum import (
     DomainBoundaryError,
     GridSpec,
     InfeasibleCandidateError,
+    LocalOptReport,
     NoFeasiblePointError,
     SCurveUtility,
     build_network,
@@ -82,6 +83,24 @@ def test_grid_unconstrained_saturates_everyone():
     res = grid_search(net, utilities, GridSpec(refinement_passes=0))
     # grid endpoints include each upper bound
     assert res.x[0] == 256.0 and res.x[1] == 128.0
+
+
+def test_grid_defaults_its_spec():
+    net, utilities, _ = load_scenario("single-source")
+    res, expected = grid_search(net, utilities), grid_search(net, utilities, GridSpec())
+    assert np.array_equal(res.x, expected.x) and res.utility == expected.utility
+    assert res.evaluations == expected.evaluations
+
+
+def test_grid_rejects_the_wrong_number_of_utilities():
+    net, utilities, _ = load_scenario("single-source")
+    with pytest.raises(ValueError, match=r"^2 utilities for 1 sources$"):
+        grid_search(net, utilities * 2, GridSpec())
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_local_opt_report_is_true_when_passed(passed):
+    assert bool(LocalOptReport(passed, 10, 0.0, None)) is passed
 
 
 def test_grid_no_feasible_point():

@@ -16,6 +16,7 @@ from helpers import COLLAPSE_CONFIG, crowded_instance, recipe_x0, routing_matrix
 import scpnum
 from scpnum import (
     BUILT_IN_SCENARIOS,
+    FeasibilityReport,
     GridSpec,
     ParseError,
     ScenarioValidationError,
@@ -139,6 +140,25 @@ def test_unknown_fields_rejected():
     with pytest.raises(ScenarioValidationError) as exc:
         parse_scenario(json.dumps(doc))
     assert exc.value.path == "sources[0].priority"
+
+
+def test_unknown_built_in_rejected():
+    with pytest.raises(ScenarioValidationError) as exc:
+        built_in_scenario("nope")
+    assert exc.value.path == "name"
+    assert str(exc.value) == ("name: unknown built-in 'nope' "
+                              "(have: chain-3, paper-scenario-1, single-source)")
+
+
+@pytest.mark.parametrize("text,path,reason", [
+    ("[1, 2]", "$", "expected object, got list"),
+    ('{"links": {}, "sources": []}', "$.links", "expected list"),
+], ids=["not-an-object", "links-not-a-list"])
+def test_document_of_the_wrong_type_rejected(text, path, reason):
+    with pytest.raises(ScenarioValidationError) as exc:
+        parse_scenario(text)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {reason}"
 
 
 def test_route_over_undeclared_link_rejected():
@@ -436,6 +456,15 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(broken), "--out", str(tmp_path / "b")]) == 2
 
     assert main(["run", "no-such-name", "--out", str(tmp_path / "c")]) == 2
+
+
+def test_cli_run_exits_1_on_infeasible_final_rates(tmp_path, capsys, monkeypatch):
+    # a converged run keeps its rates within feas_tol, so the check's
+    # answer is patched
+    monkeypatch.setattr("scpnum.cli.is_feasible", lambda *args: FeasibilityReport(False, ()))
+    assert main(["run", "single-source", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: final rates violate a rate window or a link "
+                                       "capacity by more than 0.5 Kbps\n")
 
 
 def _collapsed_scenario():

@@ -1,6 +1,7 @@
 """Utility curves: values, shape, transforms, and derivative formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scpnum import (
     transformed_bounds,
     transformed_utility,
 )
+from scpnum.utility import per_item
 
 
 def test_scurve_normalization_points():
@@ -133,6 +135,25 @@ def test_inverse_transform_rejects_negative():
     u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
     with pytest.raises(NegativeTransformedRateError):
         inverse_transform(u, -1e-9)
+
+
+def test_inverse_transform_names_the_negative_entry():
+    u = SCurveUtility(r=256.0, c1=6.0, c2=2.0)
+    for y, named in ((-0.1, "y = -0.1"), ([0.25, np.nan, -0.5], "y[2] = -0.5"),
+                     (np.array([[0.25, 0.0], [-1.0, 0.5]]), "y[1, 0] = -1.0")):
+        with pytest.raises(NegativeTransformedRateError,
+                           match=rf"^transformed rate {re.escape(named)} is not >= 0$"):
+            inverse_transform(u, y)
+
+
+def test_an_integer_too_large_for_a_float_is_named():
+    with pytest.raises(ValueError, match=r"^r is too large for a float$"):
+        SCurveUtility(r=10 ** 400, c1=6.0, c2=2.0)
+
+
+def test_per_item_names_a_ragged_argument():
+    with pytest.raises(ValueError, match=r"^x must be an array of shape \(2,\): "):
+        per_item("x", [1.0, [2.0, 3.0]], 2)
 
 
 def test_transformed_bounds_order():
